@@ -2,8 +2,10 @@
 
 A :class:`LieBasis` stores a finite-dimensional algebra as a canonical
 reduced basis over the monomial-coefficient vector space together with its
-structure constants.  Spans, memberships and series computations are all
-exact.
+structure constants.  Fields are bracketed only to find the algebra and its
+table; ideals, series and the derivation check run on coordinate vectors
+with the structure constants.  Spans, memberships and series computations
+are all exact.
 """
 
 from __future__ import annotations
@@ -38,35 +40,45 @@ class GradedFrameUnavailable(ArsError):
     """No homogeneous echelon frame exists (rank deficit or inhomogeneous span)."""
 
 
+def _antisymmetric_table(size: int, coords) -> tuple:
+    """Structure constants from ``coords(i, j)`` for i < j only; [b_j, b_i] = -[b_i, b_j]."""
+    table = [[(Fraction(0),) * size] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            c = coords(i, j)
+            if c is None:
+                raise ArsError("internal error: span is not closed under brackets")
+            table[i][j] = tuple(c)
+            table[j][i] = tuple(-x for x in c)
+    return tuple(map(tuple, table))
+
+
 class LieBasis:
     """Vector-space basis of a Lie algebra with structure constants.
 
     ``basis`` is the canonical reduced basis of the span; ``structure``
     holds rationals c[i][j][k] with [b_i, b_j] = sum_k c[i][j][k] b_k.
+    Elements are also handled as coordinate vectors: sparse dicts from basis
+    index to coefficient, bracketed with the table alone.
     """
 
-    __slots__ = ("dim", "basis", "structure", "_span")
+    __slots__ = ("dim", "basis", "structure", "_span", "_table")
 
     def __init__(self, dim: int, basis: Sequence[VectorField], structure, span: SpanBasis):
         self.dim = dim
         self.basis = tuple(basis)
         self.structure = structure
         self._span = span
+        self._table = [[{k: c for k, c in enumerate(cs) if c} for cs in row] for row in structure]
 
     @classmethod
     def from_span(cls, dim: int, span: SpanBasis) -> "LieBasis":
+        """Bracket the canonical basis once per pair i < j; antisymmetry fills the rest."""
         basis = [vec_to_field(dim, row) for row in span.rows()]
-        structure = []
-        for i, bi in enumerate(basis):
-            row = []
-            for j, bj in enumerate(basis):
-                br = lie_bracket(bi, bj)
-                coords = span.coordinates(field_to_vec(br))
-                if coords is None:
-                    raise ArsError("internal error: span is not closed under brackets")
-                row.append(tuple(coords))
-            structure.append(tuple(row))
-        return cls(dim, basis, tuple(structure), span)
+        table = _antisymmetric_table(
+            len(basis), lambda i, j: span.coordinates(field_to_vec(lie_bracket(basis[i], basis[j])))
+        )
+        return cls(dim, basis, table, span)
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -85,11 +97,46 @@ class LieBasis:
             other.insert(field_to_vec(f))
         return other == self._span
 
-    def span_copy(self) -> SpanBasis:
-        s = SpanBasis()
-        for b in self.basis:
-            s.insert(field_to_vec(b))
-        return s
+    def _coords(self, X: VectorField) -> dict:
+        """Sparse coordinate vector of X; ValueError when X is outside the algebra."""
+        coords = self.member(X)
+        if coords is None:
+            raise ValueError(f"{X} does not lie in the algebra")
+        return {k: c for k, c in enumerate(coords) if c}
+
+    def _bracket(self, u: dict, v: dict) -> dict:
+        """Bracket of two coordinate vectors, read from the structure constants."""
+        out: dict = {}
+        for i, a in u.items():
+            row = self._table[i]
+            for j, b in v.items():
+                for k, c in row[j].items():
+                    out[k] = out.get(k, 0) + a * b * c
+        return out
+
+    def _subalgebra(self, rows: Iterable[dict]) -> "LieBasis":
+        """Subalgebra spanned by coordinate vectors, on its canonical field basis.
+
+        Its table comes from this one by change of basis.
+        """
+        field_rows = self._span.rows()
+
+        def field_vec(u: dict) -> dict:
+            vec: dict = {}
+            for k, a in u.items():
+                for key, c in field_rows[k].items():
+                    vec[key] = vec.get(key, 0) + a * c
+            return vec
+
+        span = SpanBasis()
+        for row in rows:
+            span.insert(field_vec(row))
+        basis = [vec_to_field(self.dim, row) for row in span.rows()]
+        inner = [self._coords(b) for b in basis]
+        table = _antisymmetric_table(
+            len(basis), lambda p, q: span.coordinates(field_vec(self._bracket(inner[p], inner[q])))
+        )
+        return LieBasis(self.dim, basis, table, span)
 
     def __repr__(self) -> str:
         return f"LieBasis(dim={len(self.basis)}, ambient={self.dim})"
@@ -124,9 +171,11 @@ def _check_degrees(X: VectorField, cap: int) -> None:
 def lie_closure(generators: Sequence[VectorField], max_degree: int | None = None) -> LieBasis:
     """Smallest Lie algebra containing the generators, as a closed basis.
 
-    Brackets are explored breadth-first, shortest words first.  The degree
-    cap (ARS_MAX_DEGREE by default) catches generator sets that do not
-    produce a finite-dimensional algebra.
+    Brackets are explored breadth-first, shortest words first: each pair of
+    independent generators once, then every generator against the brackets
+    that grew the span in the previous round.  The degree cap
+    (ARS_MAX_DEGREE by default) catches generator sets that do not produce a
+    finite-dimensional algebra.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -137,55 +186,56 @@ def lie_closure(generators: Sequence[VectorField], max_degree: int | None = None
     cap = max_degree if max_degree is not None else max_degree_cap()
 
     span = SpanBasis()
-    frontier: list[VectorField] = []
-    for g in gens:
-        if span.insert(field_to_vec(g)):
-            frontier.append(g)
-    while frontier:
-        new_frontier: list[VectorField] = []
-        for g in gens:
-            for f in frontier:
-                b = lie_bracket(g, f)
-                if b.is_zero:
-                    continue
-                _check_degrees(b, cap)
-                if span.insert(field_to_vec(b)):
-                    new_frontier.append(b)
-        frontier = new_frontier
+    gens = [g for g in gens if span.insert(field_to_vec(g))]
+    pairs = [(g, f) for i, g in enumerate(gens) for f in gens[i + 1:]]
+    while pairs:
+        frontier: list[VectorField] = []
+        for g, f in pairs:
+            b = lie_bracket(g, f)
+            if b.is_zero:
+                continue
+            _check_degrees(b, cap)
+            if span.insert(field_to_vec(b)):
+                frontier.append(b)
+        pairs = [(g, f) for g in gens for f in frontier]
     return LieBasis.from_span(dim, span)
 
 
 def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
-    """Smallest ideal of L containing the generators."""
-    for g in generators:
-        if not L.contains(g):
-            raise ValueError("ideal generators must lie in the algebra")
+    """Smallest ideal of L containing the generators.
+
+    The ideal is the smallest subspace of L's coordinates that contains the
+    generators and is invariant under every ad(b_i); no field is bracketed.
+    """
+    units = [{i: Fraction(1)} for i in range(len(L))]
     span = SpanBasis()
-    frontier: list[VectorField] = []
-    for g in generators:
-        if span.insert(field_to_vec(g)):
-            frontier.append(g)
-    while frontier:
-        new_frontier: list[VectorField] = []
-        for b in L.basis:
-            for f in frontier:
-                br = lie_bracket(b, f)
-                if br.is_zero:
-                    continue
-                if span.insert(field_to_vec(br)):
-                    new_frontier.append(br)
-        frontier = new_frontier
-    return LieBasis.from_span(L.dim, span)
+    todo = [L._coords(g) for g in generators]
+    while todo:
+        v = todo.pop()
+        if span.insert(v):
+            todo.extend(L._bracket(e, v) for e in units)
+    return L._subalgebra(span.rows())
 
 
-def _bracket_span(left: Sequence[VectorField], right: Sequence[VectorField]) -> SpanBasis:
-    span = SpanBasis()
-    for a in left:
-        for b in right:
-            br = lie_bracket(a, b)
-            if not br.is_zero:
-                span.insert(field_to_vec(br))
-    return span
+def _series(L: LieBasis, derived: bool) -> int | None:
+    """Bracketings until the lower central (or derived) series vanishes; None when it stalls.
+
+    Runs on L's structure constants: the terms are coordinate subspaces.
+    """
+    units = [{i: Fraction(1)} for i in range(len(L))]
+    current = units
+    step = 0
+    while current:
+        span = SpanBasis()
+        for u in current if derived else units:
+            for v in current:
+                span.insert(L._bracket(u, v))
+        step += 1
+        # the series is decreasing, so an equal dimension means it stalled
+        if span.dim == len(current):
+            return None
+        current = span.rows()
+    return step
 
 
 def nilpotent_step(L: LieBasis) -> int | None:
@@ -194,32 +244,12 @@ def nilpotent_step(L: LieBasis) -> int | None:
     The step is the smallest number of bracketings after which everything
     vanishes: an abelian algebra has step 1, the zero algebra step 0.
     """
-    if not L.basis:
-        return 0
-    current: list[VectorField] = list(L.basis)
-    step = 0
-    while True:
-        span = _bracket_span(L.basis, current)
-        step += 1
-        if span.dim == 0:
-            return step
-        # the series is decreasing, so an equal dimension means it stalled
-        if span.dim == len(current):
-            return None
-        current = [vec_to_field(L.dim, r) for r in span.rows()]
+    return _series(L, derived=False)
 
 
 def is_solvable(L: LieBasis) -> bool:
     """True iff the derived series reaches zero."""
-    current: list[VectorField] = list(L.basis)
-    while current:
-        span = _bracket_span(current, current)
-        if span.dim == 0:
-            return True
-        if span.dim == len(current):
-            return False
-        current = [vec_to_field(L.dim, r) for r in span.rows()]
-    return True
+    return _series(L, derived=True) is not None
 
 
 def adjoint_matrix(X: VectorField, G: LieBasis) -> tuple[tuple[Fraction, ...], ...]:
@@ -265,13 +295,18 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
     order = list(range(k)) + in_ideal + outside + list(range(m, n))
     l = k + len(in_ideal)
 
+    # derivation check, the contract for non-ideal fields, in L-coordinates
+    ideal = SpanBasis()
+    for b in G.basis:
+        ideal.insert(L._coords(b))
     labels: list[str] = []
     for new_pos, pos in enumerate(order):
         if new_pos < l:
             labels.append("invariant")
             continue
-        # derivation check is the contract for non-ideal fields
-        adjoint_matrix(fields[pos], G)
+        x = L._coords(fields[pos])
+        if not all(ideal.contains(L._bracket(x, g)) for g in ideal.rows()):
+            raise NotInvariant(f"[X, G] leaves the ideal for X = {fields[pos]}")
         if pos < m and adjusted[pos]:
             labels.append("affine")
         else:

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain ``fractions.Fraction`` values so that rank,
-membership and solving decisions are never subject to rounding.  Dense
-routines take sequences of rows; :class:`SpanBasis` handles sparse vectors
+membership and solving decisions are never subject to rounding.
+:class:`SpanBasis` is the one elimination kernel: it handles sparse vectors
 keyed by arbitrary comparable keys (used for spans of polynomial vector
-fields, where a key names one monomial of one component).
+fields, where a key names one monomial of one component, and for coordinate
+vectors keyed by index).  The dense routines take sequences of rows and run
+on it.
 """
 
 from __future__ import annotations
@@ -13,66 +15,41 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 
-def _rows_copy(rows: Iterable[Sequence[Fraction]]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _row_vec(row: Iterable[Fraction], tag: int | None = None) -> dict:
+    """Sparse form of a dense row, keyed by column or by ``(tag, column)``."""
+    return {i if tag is None else (tag, i): x for i, x in enumerate(row) if x != 0}
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    """Rank of a matrix given as an iterable of rows.
-
-    Gaussian elimination with the pivot chosen as the first nonzero entry in
-    the current column, ties broken by lowest row index.
-    """
-    m = _rows_copy(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col] / pv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank of a matrix given as an iterable of rows."""
+    span = SpanBasis()
+    for row in rows:
+        span.insert(_row_vec(row))
+    return span.dim
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    m = _rows_copy(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact determinant of a square rational matrix.
+
+    Inserting the rows in order divides the determinant by each reduced
+    pivot and leaves a permutation matrix, so the determinant is the product
+    of the pivots times the sign of the permutation of leading keys.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
+    span = SpanBasis()
     result = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+    leads = []
+    for row in rows:
+        v = span.reduce(_row_vec(row))
+        if not v:
             return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        pv = m[col][col]
-        result *= pv
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                factor = m[i][col] / pv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return result
+        leads.append(max(v))
+        result *= v[leads[-1]]
+        span.insert(v)
+    inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
+    return -result if inversions % 2 else result
 
 
 def solve_combination(
@@ -80,41 +57,22 @@ def solve_combination(
 ) -> list[Fraction] | None:
     """Coefficients c with sum(c_a * vectors[a]) == target, or None.
 
-    The vectors need not be independent; any exact solution is returned,
-    preferring earlier vectors (free coefficients are set to zero).
+    The vectors need not be independent; the solution uses the greedily
+    independent vectors (earliest first) and sets the other coefficients to
+    zero.  Each vector is tagged with a unit key ``(0, a)`` that sorts below
+    the data keys ``(1, i)``: a dependent vector then reduces to a relation
+    led by its own tag, and the remainder of the target carries minus the
+    coefficients of the independent vectors on their tags.
     """
-    k = len(vectors)
-    if k == 0:
-        return [] if all(x == 0 for x in target) else None
-    n = len(target)
-    # columns are the vectors; rows the ambient coordinates
-    aug = [[Fraction(vectors[a][i]) for a in range(k)] + [Fraction(target[i])] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(k):
-        pivot = None
-        for i in range(r, n):
-            if aug[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    coeffs = [Fraction(0)] * k
-    for row, col in pivots:
-        coeffs[col] = aug[row][k]
-    return coeffs
+    span = SpanBasis()
+    for a, vec in enumerate(vectors):
+        tagged = _row_vec(vec[: len(target)], tag=1)
+        tagged[(0, a)] = Fraction(1)
+        span.insert(tagged)
+    rest = span.reduce(_row_vec(target, tag=1))
+    if any(key[0] == 1 for key in rest):
+        return None
+    return [-rest.get((0, a), Fraction(0)) for a in range(len(vectors))]
 
 
 class SpanBasis:
@@ -140,26 +98,26 @@ class SpanBasis:
     def leading_keys(self) -> list[Hashable]:
         return sorted(self._rows)
 
+    @staticmethod
+    def _subtract(v: dict, coef: Fraction, row: dict) -> None:
+        """v -= coef * row in place, dropping entries that cancel."""
+        for k, c in row.items():
+            nv = v.get(k, Fraction(0)) - coef * c
+            if nv == 0:
+                v.pop(k, None)
+            else:
+                v[k] = nv
+
     def reduce(self, vec: dict) -> dict:
-        """Remainder of vec after subtracting its span component."""
+        """Remainder of vec after subtracting its span component.
+
+        Rows are fully reduced, so subtracting one never brings in another
+        row's leading key: each leading key present in vec is cleared once,
+        highest first.
+        """
         v = {k: Fraction(c) for k, c in vec.items() if c != 0}
-        while v:
-            lead = max(v)
-            row = self._rows.get(lead)
-            if row is None:
-                # reduce any lower keys that match stored rows
-                remaining = sorted((k for k in v if k in self._rows), reverse=True)
-                if not remaining:
-                    return v
-                lead = remaining[0]
-                row = self._rows[lead]
-            coef = v[lead]
-            for k, c in row.items():
-                nv = v.get(k, Fraction(0)) - coef * c
-                if nv == 0:
-                    v.pop(k, None)
-                else:
-                    v[k] = nv
+        for lead in sorted((k for k in v if k in self._rows), reverse=True):
+            self._subtract(v, v[lead], self._rows[lead])
         return v
 
     def insert(self, vec: dict) -> bool:
@@ -173,13 +131,7 @@ class SpanBasis:
         # keep full reduction: eliminate the new leading key from old rows
         for other in self._rows.values():
             if lead in other:
-                factor = other[lead]
-                for k, c in row.items():
-                    nc = other.get(k, Fraction(0)) - factor * c
-                    if nc == 0:
-                        other.pop(k, None)
-                    else:
-                        other[k] = nc
+                self._subtract(other, other[lead], row)
         self._rows[lead] = row
         return True
 

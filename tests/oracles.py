@@ -8,6 +8,7 @@ recursion, and derivatives from direct term manipulation.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -167,6 +168,36 @@ def ideal_fields(algebra: list[VectorField], generators: list[VectorField], max_
     raise AssertionError("oracle ideal closure did not stabilize")
 
 
+def _independent(fields: list[VectorField]) -> list[VectorField]:
+    basis: list[VectorField] = []
+    for f in fields:
+        if not f.is_zero and not field_in_span(f, basis):
+            basis.append(f)
+    return basis
+
+
+def _series_dims(basis: list[VectorField], derived: bool) -> list[int]:
+    dims = [fields_rank(list(basis))]
+    current = _independent(list(basis))
+    while dims[-1] > 0:
+        left = current if derived else basis
+        current = _independent([naive_bracket(a, b) for a in left for b in current])
+        dims.append(len(current))
+        if dims[-1] == dims[-2]:
+            break
+    return dims
+
+
+def lower_central_dims(basis: list[VectorField]) -> list[int]:
+    """dim C^1 >= dim C^2 >= ..., C^(k+1) = [L, C^k], until it vanishes or stalls."""
+    return _series_dims(basis, derived=False)
+
+
+def derived_dims(basis: list[VectorField]) -> list[int]:
+    """dim L >= dim [L, L] >= ..., until the derived series vanishes or stalls."""
+    return _series_dims(basis, derived=True)
+
+
 # ---------------------------------------------------------------------------
 # determinant oracles
 
@@ -182,6 +213,19 @@ def cofactor_det(entries: list[list[Polynomial]]) -> Polynomial:
         sub = [[entries[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
         term = entries[0][j] * cofactor_det(sub)
         total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def leibniz_det(rows: list[list[Fraction]]) -> Fraction:
+    """Permutation-sum determinant of a square rational matrix."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, p in enumerate(perm):
+            term *= rows[i][p]
+        total += term
     return total
 
 

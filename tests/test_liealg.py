@@ -22,7 +22,7 @@ from ars.liealg import (
 )
 from ars.symcore import Polynomial, VectorField, lie_bracket
 
-from oracles import closure_fields, ideal_fields, spans_equal
+from oracles import closure_fields, derived_dims, ideal_fields, lower_central_dims, spans_equal
 
 
 def var(dim, j):
@@ -88,9 +88,12 @@ def test_closure_degree_bound():
         lie_closure([X, Y], max_degree=12)
 
 
-def test_structure_constants_reexpand(e1_frame, e3_frame):
-    for frame in (e1_frame, e3_frame):
-        L = lie_closure(frame.fields)
+def test_structure_constants_reexpand(e1_frame, e2_frame, e3_frame):
+    algebras = [lie_closure(frame.fields) for frame in (e1_frame, e3_frame)]
+    # the ideal's table comes by change of basis, not from brackets
+    for frame, gens in ((e1_frame, 1), (e2_frame, 2), (e3_frame, 3)):
+        algebras.append(ideal_closure(lie_closure(frame.fields), list(frame.fields[:gens])))
+    for L in algebras:
         size = len(L)
         for i in range(size):
             for j in range(size):
@@ -248,6 +251,46 @@ def test_solvability_examples(e2_frame, e3_frame):
     assert is_solvable(L1)
 
 
+def _grushin_pow_fields(n):
+    # X1 = d/dx1, Xi = x1^(i-1) d/dxi
+    x1 = var(n, 0)
+    return [VectorField.coordinate(n, 0)] + [only_component(n, i, x1**i) for i in range(1, n)]
+
+
+def _chain_fields(n):
+    # X1 = d/dx1, Xi = x(i-1) d/dxi
+    return [VectorField.coordinate(n, 0)] + [only_component(n, i, var(n, i - 1)) for i in range(1, n)]
+
+
+def test_series_match_naive_oracles(e1_frame, e2_frame, e3_frame):
+    X4, X5 = e3_frame.fields[3], e3_frame.fields[4]
+    cases = [
+        (e1_frame.fields, 1),
+        (e2_frame.fields, 2),
+        (e3_frame.fields, 3),
+        ([X4, X5, lie_bracket(X4, X5)], 1),  # sl2 triple
+        (_grushin_pow_fields(5), 1),
+        (_chain_fields(5), 1),
+        ([VectorField.coordinate(1, 0), only_component(1, 0, var(1, 0))], 1),  # affine line
+    ]
+    steps = []
+    for fields, gens in cases:
+        L = lie_closure(fields)
+        G = ideal_closure(L, list(fields[:gens]))
+        for algebra in (L, G):
+            lower = lower_central_dims(list(algebra.basis))
+            derived = derived_dims(list(algebra.basis))
+            assert lower[0] == derived[0] == len(algebra)
+            expected_step = len(lower) - 1 if lower[-1] == 0 else None
+            assert nilpotent_step(algebra) == expected_step
+            assert is_solvable(algebra) == (derived[-1] == 0)
+        steps.append((nilpotent_step(L), is_solvable(L), nilpotent_step(G)))
+    # closed forms: the ideal of d/dx1 in grushin_pow(5) has step 4, in chain(5)
+    # it is abelian; the affine line is solvable but not nilpotent
+    assert [s[2] for s in steps[4:6]] == [4, 1]
+    assert steps[6] == (None, True, 1)
+
+
 # --- adjoint matrices ------------------------------------------------------------
 
 
@@ -400,6 +443,17 @@ def test_classification_invariant_when_hat_in_ideal(e2_frame):
     C = classify_fields(A, L, G)
     assert C.labels == ("invariant", "invariant", "invariant", "linear")
     assert (C.k, C.l, C.m) == (2, 3, 3)
+
+
+def test_classification_rejects_non_ideal(grushin_frame):
+    # G = span{d/dx} is a subalgebra but no ideal: [x d/dy, d/dx] = -d/dy leaves it
+    _, w = growth_vector(grushin_frame)
+    A = build_approximation(grushin_frame, w)
+    L = lie_closure(A.fields)
+    G = lie_closure([VectorField.coordinate(2, 0)])
+    assert len(L) == 3 and len(G) == 1
+    with pytest.raises(NotInvariant):
+        classify_fields(A, L, G)
 
 
 def test_classification_refuses_degenerate(degenerate_frame):
