@@ -10,8 +10,8 @@ without the triangular structure.
 
 from __future__ import annotations
 
-import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -139,32 +139,92 @@ def rk4_flow(
     """Classical fixed-step fourth-order integration in floats.
 
     Blowup is data, not an error: the flag is set as soon as any coordinate
-    leaves ``blowup_threshold`` or stops being finite, and integration halts
-    at the last finite state.
+    leaves ``blowup_threshold``, stops being finite or overflows, and
+    integration halts at the last finite state.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    state = [float(x) for x in point]
+    state = tuple(float(x) for x in point)
     if len(state) != X.dim:
         raise ValueError("dimension mismatch")
+    step = X._rk4_step
+    if step is None:
+        step = X._rk4_step = _compile_rk4_step(X)
     h = float(t) / steps
+    # |v| <= limit holds exactly when v is finite and |v| <= blowup_threshold
+    limit = min(blowup_threshold, sys.float_info.max)
+    blowup = False
+    try:
+        for _ in range(steps):
+            candidate = step(state, h, h / 2, h / 6, limit)
+            if candidate is None:
+                blowup = True
+                break
+            state = candidate
+    except OverflowError:
+        blowup = True
+    return FlowResult(state, "rk4", blowup, step_count=steps)
 
-    def ok(values: list[float]) -> bool:
-        return all(math.isfinite(v) and abs(v) <= blowup_threshold for v in values)
 
-    for _ in range(steps):
-        k1 = X.evaluate_float(state)
-        k2 = X.evaluate_float([x + h / 2 * d for x, d in zip(state, k1)])
-        k3 = X.evaluate_float([x + h / 2 * d for x, d in zip(state, k2)])
-        k4 = X.evaluate_float([x + h * d for x, d in zip(state, k3)])
-        candidate = [
-            x + h / 6 * (a + 2 * b + 2 * c + d)
-            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
-        if not all(math.isfinite(v) for v in candidate) or not ok(candidate):
-            return FlowResult(tuple(state), "rk4", True, step_count=steps)
-        state = candidate
-    return FlowResult(tuple(state), "rk4", False, step_count=steps)
+def _compile_rk4_step(X: VectorField):
+    """One RK4 step of X as straight-line float code.
+
+    ``step(x, h, h2, h6, limit)`` returns the next state, or None when a
+    coordinate leaves [-limit, limit].  It performs the float operations of
+    the interpreted loop over ``Polynomial.evaluate_float`` in the same
+    order, so its results are identical bit for bit: terms in ``terms``
+    order summed onto 0.0, each term ``c * x_i ** k_i * ...`` over the
+    nonzero exponents, and the stages ``x + h2 * k``, ``x + h * k`` and
+    ``x + h6 * (k1 + 2 * k2 + 2 * k3 + k4)``.  The source holds only
+    positional names and integer exponents; the coefficients are bound as
+    arguments of the enclosing factory.
+    """
+    n = X.dim
+    coeffs: list[float] = []
+    components = []
+    for comp in X.components:
+        terms = []
+        for e, c in comp.terms.items():
+            terms.append((f"c{len(coeffs)}", e))
+            coeffs.append(float(c))
+        components.append(terms)
+
+    def field_at(stage: int, at: list[str]) -> list[str]:
+        lines = []
+        for j, terms in enumerate(components):
+            expr = "0.0"
+            for name, e in terms:
+                factors = [name] + [f"{v} ** {k}" for v, k in zip(at, e) if k]
+                expr += " + " + " * ".join(factors)
+            lines.append(f"k{stage}_{j} = {expr}")
+        return lines
+
+    xs = [f"x{j}" for j in range(n)]
+    body = [f"{', '.join(xs)}, = x"]
+    at = xs
+    for stage, scale in ((1, "h2"), (2, "h2"), (3, "h")):
+        body += field_at(stage, at)
+        at = [f"s{stage}_{j}" for j in range(n)]
+        body += [f"{a} = x{j} + {scale} * k{stage}_{j}" for j, a in enumerate(at)]
+    body += field_at(4, at)
+    body += [
+        f"y{j} = x{j} + h6 * (k1_{j} + 2 * k2_{j} + 2 * k3_{j} + k4_{j})" for j in range(n)
+    ]
+    ys = [f"y{j}" for j in range(n)]
+    body += [
+        "if " + " and ".join(f"-limit <= {y} <= limit" for y in ys) + ":",
+        f"    return ({', '.join(ys)},)",
+        "return None",
+    ]
+    params = ", ".join(f"c{i}" for i in range(len(coeffs)))
+    source = "\n".join(
+        [f"def factory({params}):", "    def step(x, h, h2, h6, limit):"]
+        + [f"        {line}" for line in body]
+        + ["    return step"]
+    )
+    namespace: dict = {}
+    exec(compile(source, "<rk4 step>", "exec"), namespace)
+    return namespace["factory"](*coeffs)
 
 
 def completeness_probe(

@@ -155,14 +155,20 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
             d += 1
         return sorted(set(out))
 
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = Fraction(0)
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0 and cand not in roots:
-                    roots.append(cand)
+    # a reduced root p/q has p | a0 and q | an; q^n P(p/q) = sum c_i p^i q^(n-i)
+    # is evaluated by Horner's rule in integers
+    low_first = ints[:-1][::-1]
+    for q in divisors(an):
+        q_powers = [q**i for i in range(1, len(ints))]
+        for p in divisors(a0):
+            if math.gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                val = ints[-1]
+                for c, qp in zip(low_first, q_powers):
+                    val = val * num + c * qp
+                if val == 0:
+                    roots.append(Fraction(num, q))
     return sorted(roots)
 
 

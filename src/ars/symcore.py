@@ -55,7 +55,7 @@ class Polynomial:
     convention and hashable.
     """
 
-    __slots__ = ("dim", "terms", "_hash", "_float_terms")
+    __slots__ = ("dim", "terms", "_hash")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Fraction] | None = None):
         if dim < 1:
@@ -77,7 +77,6 @@ class Polynomial:
         self.dim = dim
         self.terms = clean
         self._hash: int | None = None
-        self._float_terms: list[tuple[Exponents, float]] | None = None
 
     @classmethod
     def zero(cls, dim: int) -> "Polynomial":
@@ -211,13 +210,9 @@ class Polynomial:
     def evaluate_float(self, point: Sequence[float]) -> float:
         if len(point) != self.dim:
             raise ValueError(f"expected a point of dimension {self.dim}")
-        cached = self._float_terms
-        if cached is None:
-            cached = [(e, float(c)) for e, c in self.terms.items()]
-            self._float_terms = cached
         total = 0.0
-        for e, c in cached:
-            val = c
+        for e, c in self.terms.items():
+            val = float(c)
             for x, k in zip(point, e):
                 if k:
                     val *= float(x) ** k
@@ -287,7 +282,8 @@ class Polynomial:
 class VectorField:
     """Polynomial vector field: component j multiplies d/dx_j."""
 
-    __slots__ = ("dim", "components", "_hash")
+    # _rk4_step: the field's compiled RK4 step, built by flows.rk4_flow on first use
+    __slots__ = ("dim", "components", "_hash", "_rk4_step")
 
     def __init__(self, components: Sequence[Polynomial]):
         comps = tuple(components)
@@ -299,6 +295,7 @@ class VectorField:
         self.dim = dim
         self.components = comps
         self._hash: int | None = None
+        self._rk4_step = None
 
     @classmethod
     def zero(cls, dim: int) -> "VectorField":

@@ -9,6 +9,7 @@ recursion, and derivatives from direct term manipulation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -236,7 +237,7 @@ def frame_cofactor_det(frame) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# numeric directional derivative
+# numeric directional derivative and the reference RK4 loop
 
 
 def finite_difference_apply(X: VectorField, f: Polynomial, point: list[float], h: float = 1e-6) -> float:
@@ -245,6 +246,34 @@ def finite_difference_apply(X: VectorField, f: Polynomial, point: list[float], h
     up = [p + h * d for p, d in zip(point, v)]
     dn = [p - h * d for p, d in zip(point, v)]
     return (f.evaluate_float(up) - f.evaluate_float(dn)) / (2 * h)
+
+
+def naive_rk4(X: VectorField, point, t: float, steps: int, blowup_threshold: float = 1e12):
+    """Interpreted fixed-step RK4 on ``VectorField.evaluate_float``.
+
+    Returns (endpoint, blowup, step_count) with the blowup rule of
+    ``flows.rk4_flow``; an overflow in ``float ** k`` propagates as
+    OverflowError.
+    """
+    state = [float(x) for x in point]
+    h = float(t) / steps
+
+    def ok(values: list[float]) -> bool:
+        return all(math.isfinite(v) and abs(v) <= blowup_threshold for v in values)
+
+    for _ in range(steps):
+        k1 = X.evaluate_float(state)
+        k2 = X.evaluate_float([x + h / 2 * d for x, d in zip(state, k1)])
+        k3 = X.evaluate_float([x + h / 2 * d for x, d in zip(state, k2)])
+        k4 = X.evaluate_float([x + h * d for x, d in zip(state, k3)])
+        candidate = [
+            x + h / 6 * (a + 2 * b + 2 * c + d)
+            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+        ]
+        if not ok(candidate):
+            return tuple(state), True, steps
+        state = candidate
+    return tuple(state), False, steps
 
 
 def random_rational_point(rng: random.Random, dim: int, span: int = 6) -> list[Fraction]:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ars.approx import build_approximation
 from ars.flows import (
@@ -16,6 +18,8 @@ from ars.flows import (
 )
 from ars.grading import growth_vector, nonholonomic_order_vf
 from ars.symcore import Polynomial, VectorField
+
+from oracles import naive_rk4
 
 
 def var(dim, j):
@@ -121,6 +125,48 @@ def test_rk4_blowup_on_square_field():
     assert res.blowup
 
 
+def test_rk4_overflow_is_blowup():
+    # x^4 d/dx overflows in float ** 4 before it crosses the threshold
+    X = only_component(1, 0, var(1, 0) ** 4)
+    res = rk4_flow(X, (1.0,), 10.0, 2000)
+    assert res.blowup
+    assert res.step_count == 2000
+    assert all(math.isfinite(v) for v in res.endpoint)
+    rep = completeness_probe(X, (1,), horizon=10.0, trials=5, seed=5)
+    assert rep.blowup_count == 5
+
+
+@st.composite
+def small_fields(draw):
+    """Fields of dim 1-4 with rational coefficients and total degree <= 3."""
+    dim = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * dim).filter(lambda e: sum(e) <= 3)
+    coefs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    return VectorField(
+        [Polynomial(dim, draw(st.dictionaries(exps, coefs, max_size=4))) for _ in range(dim)]
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    small_fields(),
+    st.data(),
+    st.sampled_from([1000.0, -1000.0]) | st.floats(-3.0, 3.0),
+    st.integers(1, 2000),
+    st.sampled_from([1e12, 50.0, math.inf]),
+)
+def test_rk4_matches_naive_loop(X, data, t, steps, threshold):
+    point = tuple(data.draw(st.floats(-2.0, 2.0)) for _ in range(X.dim))
+    res = rk4_flow(X, point, t, steps, blowup_threshold=threshold)
+    try:
+        endpoint, blowup, step_count = naive_rk4(X, point, t, steps, threshold)
+    except OverflowError:
+        assert res.blowup
+        return
+    assert [v.hex() for v in res.endpoint] == [v.hex() for v in endpoint]
+    assert (res.blowup, res.step_count) == (blowup, step_count)
+
+
 def test_rk4_no_blowup_on_triangular_fields(e1_frame):
     _, w = growth_vector(e1_frame)
     for X in e1_frame.fields:
@@ -158,6 +204,15 @@ def test_probe_flags_square_field():
     rep = completeness_probe(square_field(), (1,), horizon=10.0, trials=20, seed=5)
     assert not rep.triangular
     assert rep.blowup_count >= 1
+
+
+def test_probe_pins_linear_field_blowups():
+    # x d/dx is complete (x e^t) but leaves the threshold by the horizon; the
+    # probe reports blowups next to a passing triangular check
+    X = only_component(2, 0, var(2, 0))
+    rep = completeness_probe(X, (1, 1), horizon=1000.0, trials=5, seed=0)
+    assert rep.triangular
+    assert rep.blowup_count == 5
 
 
 def test_probe_zero_field():

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ars.locus import (
     DegenerateZ1,
     NotOnZ1,
+    _rational_roots,
     corank_at,
     det_submersion_check,
     frame_determinant,
@@ -211,6 +213,29 @@ def test_stratify_e3_slice(e3_frame):
     reports = stratify_samples(e3_frame, budget=50, seed=1, sampler=slice_sampler, line_search=False)
     assert all(h.exact for r in reports for h in r.hits)
     assert sum(len(r.hits) for r in reports) == 50  # det vanishes on the slice
+
+
+@st.composite
+def polys_with_known_roots(draw):
+    """Low-first coefficients of scale * g(t) * prod (t - r), and the sorted r.
+
+    The cofactor g has no rational roots, so the roots are exactly the r.
+    """
+    roots = draw(st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)), max_size=5))
+    coeffs = [Fraction(c) for c in draw(st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [1, 1, 1]]))]
+    scale = Fraction(draw(st.sampled_from([-7, -1, 1, 3])), draw(st.integers(1, 5)))
+    coeffs = [scale * c for c in coeffs]
+    for r in roots:
+        shifted = [Fraction(0)] + coeffs
+        coeffs = [a - r * b for a, b in zip(shifted, coeffs + [Fraction(0)])]
+    return coeffs, sorted(set(roots))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(polys_with_known_roots())
+def test_rational_roots_recovers_known_roots(case):
+    coeffs, expected = case
+    assert _rational_roots(list(coeffs)) == expected
 
 
 def test_stratify_deterministic(e1_frame):
