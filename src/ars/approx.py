@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .grading import Weights, check_weights, homogeneous_component, monomial_weighted_degree
+from .grading import Weights, check_weights, homogeneous_component, homogeneous_orders
 from .linalg import SpanBasis, det, solve_combination
-from .symcore import ArsError, Frame, VectorField, field_to_vec
+from .symcore import ArsError, Frame, VectorField
 
 
 class DegenerateApproximation(ArsError):
@@ -83,12 +83,7 @@ def check_triangular_complete(X: VectorField, weights: Sequence[int]) -> bool:
     and not at all on heavier ones, so its flow equation is triangular and
     all solutions extend to the whole real line.
     """
-    w = check_weights(weights, X.dim)
-    for j, comp in enumerate(X.components):
-        for e in comp.terms:
-            if monomial_weighted_degree(e, w) > w[j]:
-                return False
-    return True
+    return all(s <= 0 for s in homogeneous_orders(X, weights))
 
 
 def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSet:
@@ -147,12 +142,12 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
     # step 2 continued: keep a maximal set of field-independent order -1 parts
     span = SpanBasis()
     for pos in range(k):
-        span.insert(field_to_vec(current_hats[pos]))
+        span.insert(current_hats[pos].terms)
     kept: list[int] = []
     dropped: list[int] = []
     for pos in range(k, n):
         h = current_hats[pos]
-        if not h.is_zero and span.insert(field_to_vec(h)):
+        if not h.is_zero and span.insert(h.terms):
             kept.append(pos)
         else:
             dropped.append(pos)
@@ -168,7 +163,7 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
     out_span = SpanBasis()
     degenerate = False
     for f in outputs:
-        if f.is_zero or not out_span.insert(field_to_vec(f)):
+        if f.is_zero or not out_span.insert(f.terms):
             degenerate = True
             break
 

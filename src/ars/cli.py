@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 parse error, 3 rank-condition failure, 4 the
-coordinates are not privileged for the weights, 5 degenerate approximation
-(the report is still written).
+Exit codes: 0 success, 2 parse or usage error (an option that does not fit
+the frame), 3 rank-condition failure, 4 the coordinates are not privileged
+for the weights, 5 degenerate approximation (the report is still written).
 """
 
 from __future__ import annotations
@@ -13,13 +13,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .grading import RankConditionFailure
+from .grading import RankConditionFailure, check_weights
 from .locus import genericity_codims
 from .parser import ParseError, parse_frame
 from .pipeline import REPORT_SCHEMA, AnalyzeOptions, NotPrivileged, Report, analyze
+from .symcore import as_point
 
 EXIT_OK = 0
 EXIT_PARSE = 2
+EXIT_USAGE = 2
 EXIT_RANK = 3
 EXIT_NOT_PRIVILEGED = 4
 EXIT_DEGENERATE = 5
@@ -93,6 +95,16 @@ def _diagnostic(kind: str, message: str, report: Report | None) -> dict:
     return payload
 
 
+def _check_usage(options: AnalyzeOptions, dim: int) -> None:
+    """Raise ValueError when an option does not fit a frame on R^dim."""
+    if options.weights != "auto":
+        check_weights(options.weights, dim)
+    if options.point is not None:
+        as_point(options.point, dim)
+    if options.stratify and options.samples < 1:
+        raise ValueError(f"--samples must be at least 1 with --stratify, got {options.samples}")
+
+
 def _run_analysis(args, command: str) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
@@ -115,6 +127,12 @@ def _run_analysis(args, command: str) -> int:
         samples=getattr(args, "samples", 200),
         seed=getattr(args, "seed", 0),
     )
+    try:
+        _check_usage(options, len(doc.var_names))
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        _write_json(_diagnostic("usage_error", str(exc), None), args.json_out)
+        return EXIT_USAGE
     try:
         report = analyze(doc, options)
     except RankConditionFailure as exc:

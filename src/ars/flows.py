@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .approx import check_triangular_complete
-from .grading import check_weights, monomial_weighted_degree
+from .grading import check_weights, homogeneous_orders
 from .symcore import ArsError, Polynomial, VectorField, as_fraction, as_point, vf_apply
 
 DEFAULT_TRUNCATION_ORDER = 30
@@ -52,12 +52,7 @@ def is_strictly_triangular(X: VectorField, weights: Sequence[int]) -> bool:
     Applying such a field to a polynomial strictly lowers weighted degree,
     so each coordinate's exponential series terminates.
     """
-    w = check_weights(weights, X.dim)
-    for j, comp in enumerate(X.components):
-        for e in comp.terms:
-            if monomial_weighted_degree(e, w) > w[j] - 1:
-                return False
-    return True
+    return all(s <= -1 for s in homogeneous_orders(X, weights))
 
 
 def lie_series_flow(

@@ -22,7 +22,6 @@ from .symcore import (
     Polynomial,
     VectorField,
     as_point,
-    field_to_vec,
     lie_bracket,
     max_degree_cap,
     vf_apply,
@@ -68,15 +67,7 @@ def weighted_valuation(f: Polynomial, weights: Sequence[int]):
 
 def nonholonomic_order_vf(X: VectorField, weights: Sequence[int]):
     """Order of a field: min_j (valuation of component j minus w_j)."""
-    w = check_weights(weights, X.dim)
-    orders = []
-    for j, comp in enumerate(X.components):
-        v = weighted_valuation(comp, w)
-        if v != INFINITE_ORDER:
-            orders.append(v - w[j])
-    if not orders:
-        return INFINITE_ORDER
-    return min(orders)
+    return min(homogeneous_orders(X, weights), default=INFINITE_ORDER)
 
 
 def homogeneous_component(X: VectorField, s: int, weights: Sequence[int]) -> VectorField:
@@ -86,22 +77,16 @@ def homogeneous_component(X: VectorField, s: int, weights: Sequence[int]) -> Vec
     Summing over all s reconstructs X.
     """
     w = check_weights(weights, X.dim)
-    comps = []
-    for j, comp in enumerate(X.components):
-        target = w[j] + s
-        terms = {e: c for e, c in comp.terms.items() if monomial_weighted_degree(e, w) == target}
-        comps.append(Polynomial(X.dim, terms))
-    return VectorField(comps)
+    return VectorField.from_terms(
+        X.dim,
+        {(j, e): c for (j, e), c in X.terms.items() if monomial_weighted_degree(e, w) - w[j] == s},
+    )
 
 
 def homogeneous_orders(X: VectorField, weights: Sequence[int]) -> list[int]:
     """Sorted list of orders s with a nonzero homogeneous component."""
     w = check_weights(weights, X.dim)
-    orders = set()
-    for j, comp in enumerate(X.components):
-        for e in comp.terms:
-            orders.add(monomial_weighted_degree(e, w) - w[j])
-    return sorted(orders)
+    return sorted({monomial_weighted_degree(e, w) - w[j] for j, e in X.terms})
 
 
 def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
@@ -116,7 +101,7 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
     values = SpanBasis()
     frontier: list[VectorField] = []
     for f in frame.fields:
-        if span.insert(field_to_vec(f)):
+        if span.insert(f.terms):
             frontier.append(f)
             values.insert({i: c for i, c in enumerate(f.evaluate(point)) if c != 0})
     dims = [values.dim]
@@ -140,7 +125,7 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
                     raise RankConditionFailure(
                         f"bracket components exceeded the degree cap {max_degree}"
                     )
-                if span.insert(field_to_vec(b)):
+                if span.insert(b.terms):
                     new_frontier.append(b)
                     values.insert({i: c for i, c in enumerate(b.evaluate(point)) if c != 0})
         frontier = new_frontier
@@ -168,7 +153,7 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: i
             orders[j] = 0
             continue
         seen = SpanBasis()
-        seen.insert(dict(f.terms))
+        seen.insert(f.terms)
         level = [f]
         for length in range(1, bound + 1):
             next_level = []
@@ -181,7 +166,7 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: i
                     if d.evaluate(pt) != 0:
                         found = True
                         break
-                    if seen.insert(dict(d.terms)):
+                    if seen.insert(d.terms):
                         next_level.append(d)
                 if found:
                     break

@@ -20,11 +20,10 @@ from .linalg import SpanBasis, rank, solve_combination
 from .symcore import (
     ArsError,
     VectorField,
+    _accumulate,
     as_point,
-    field_to_vec,
     lie_bracket,
     max_degree_cap,
-    vec_to_field,
 )
 
 
@@ -74,9 +73,9 @@ class LieBasis:
     @classmethod
     def from_span(cls, dim: int, span: SpanBasis) -> "LieBasis":
         """Bracket the canonical basis once per pair i < j; antisymmetry fills the rest."""
-        basis = [vec_to_field(dim, row) for row in span.rows()]
+        basis = [VectorField.from_terms(dim, row) for row in span.rows()]
         table = _antisymmetric_table(
-            len(basis), lambda i, j: span.coordinates(field_to_vec(lie_bracket(basis[i], basis[j])))
+            len(basis), lambda i, j: span.coordinates(lie_bracket(basis[i], basis[j]).terms)
         )
         return cls(dim, basis, table, span)
 
@@ -84,17 +83,17 @@ class LieBasis:
         return len(self.basis)
 
     def contains(self, X: VectorField) -> bool:
-        return self._span.contains(field_to_vec(X))
+        return self._span.contains(X.terms)
 
     def member(self, X: VectorField) -> tuple[Fraction, ...] | None:
         """Coordinates of X in ``basis``, or None when X is outside the span."""
-        coords = self._span.coordinates(field_to_vec(X))
+        coords = self._span.coordinates(X.terms)
         return tuple(coords) if coords is not None else None
 
     def same_span(self, fields: Iterable[VectorField]) -> bool:
         other = SpanBasis()
         for f in fields:
-            other.insert(field_to_vec(f))
+            other.insert(f.terms)
         return other == self._span
 
     def _coords(self, X: VectorField) -> dict:
@@ -106,13 +105,10 @@ class LieBasis:
 
     def _bracket(self, u: dict, v: dict) -> dict:
         """Bracket of two coordinate vectors, read from the structure constants."""
-        out: dict = {}
-        for i, a in u.items():
-            row = self._table[i]
-            for j, b in v.items():
-                for k, c in row[j].items():
-                    out[k] = out.get(k, 0) + a * b * c
-        return out
+        table = self._table
+        return _accumulate(
+            (k, a * b * c) for i, a in u.items() for j, b in v.items() for k, c in table[i][j].items()
+        )
 
     def _subalgebra(self, rows: Iterable[dict]) -> "LieBasis":
         """Subalgebra spanned by coordinate vectors, on its canonical field basis.
@@ -122,16 +118,12 @@ class LieBasis:
         field_rows = self._span.rows()
 
         def field_vec(u: dict) -> dict:
-            vec: dict = {}
-            for k, a in u.items():
-                for key, c in field_rows[k].items():
-                    vec[key] = vec.get(key, 0) + a * c
-            return vec
+            return _accumulate((key, a * c) for k, a in u.items() for key, c in field_rows[k].items())
 
         span = SpanBasis()
         for row in rows:
             span.insert(field_vec(row))
-        basis = [vec_to_field(self.dim, row) for row in span.rows()]
+        basis = [VectorField.from_terms(self.dim, row) for row in span.rows()]
         inner = [self._coords(b) for b in basis]
         table = _antisymmetric_table(
             len(basis), lambda p, q: span.coordinates(field_vec(self._bracket(inner[p], inner[q])))
@@ -186,7 +178,7 @@ def lie_closure(generators: Sequence[VectorField], max_degree: int | None = None
     cap = max_degree if max_degree is not None else max_degree_cap()
 
     span = SpanBasis()
-    gens = [g for g in gens if span.insert(field_to_vec(g))]
+    gens = [g for g in gens if span.insert(g.terms)]
     pairs = [(g, f) for i, g in enumerate(gens) for f in gens[i + 1:]]
     while pairs:
         frontier: list[VectorField] = []
@@ -195,7 +187,7 @@ def lie_closure(generators: Sequence[VectorField], max_degree: int | None = None
             if b.is_zero:
                 continue
             _check_degrees(b, cap)
-            if span.insert(field_to_vec(b)):
+            if span.insert(b.terms):
                 frontier.append(b)
         pairs = [(g, f) for g in gens for f in frontier]
     return LieBasis.from_span(dim, span)
@@ -357,7 +349,7 @@ def graded_frame(G: LieBasis, weights: Sequence[int]) -> tuple[VectorField, ...]
         span = SpanBasis()
         pool: list[VectorField] = []
         for h in candidates:
-            if span.insert(field_to_vec(h)):
+            if span.insert(h.terms):
                 pool.append(h)
         values = [[h.evaluate(origin)[j] for j in coords] for h in pool]
         for idx, j in enumerate(coords):

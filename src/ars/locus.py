@@ -255,18 +255,7 @@ def stratify_samples(
             if all(d == 0 for d in direction):
                 continue
             # restrict the determinant to base + t*direction
-            tdim = 1
-            line_poly = Polynomial.zero(tdim)
-            for e, c in detp.terms.items():
-                part = Polynomial.constant(tdim, c)
-                for j, k in enumerate(e):
-                    if k:
-                        lin = Polynomial(
-                            tdim,
-                            {(0,): base[j], (1,): direction[j]},
-                        )
-                        part = part * lin**k
-                line_poly = line_poly + part
+            line_poly = detp.affine_substituted(base, direction, [0] * n, 1)
             max_deg = max((e[0] for e in line_poly.terms), default=-1)
             if max_deg < 0:
                 continue  # the whole line lies in the locus

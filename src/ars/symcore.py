@@ -3,14 +3,18 @@
 All coefficients are ``fractions.Fraction``; no floating point enters any
 computation in this module.  Polynomials are sparse maps from exponent
 vectors to nonzero coefficients, canonically ordered by graded
-lexicographic comparison for printing and hashing.
+lexicographic comparison for printing and hashing.  A vector field is one
+sparse map from (component, exponents) to nonzero coefficients.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cache
+from itertools import accumulate, chain, repeat
+from operator import add, mul
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -47,6 +51,17 @@ def _grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
+def _accumulate(pairs: Iterable[tuple[Hashable, Fraction]]) -> dict:
+    """Sum the values of equal keys, kept in first-seen order; zero sums are dropped."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            out[key] += value
+        else:
+            out[key] = value
+    return {k: v for k, v in out.items() if v}
+
+
 class Polynomial:
     """Sparse polynomial in ``dim`` variables with rational coefficients.
 
@@ -60,23 +75,27 @@ class Polynomial:
     def __init__(self, dim: int, terms: Mapping[Exponents, Fraction] | None = None):
         if dim < 1:
             raise ValueError("polynomial dimension must be at least 1")
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coef in (terms or {}).items():
+
+        def exponents(exps) -> Exponents:
             e = tuple(int(x) for x in exps)
             if len(e) != dim:
                 raise ValueError(f"exponent vector {e} does not have length {dim}")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-            c = as_fraction(coef)
-            if c != 0:
-                acc = clean.get(e, Fraction(0)) + c
-                if acc == 0:
-                    clean.pop(e, None)
-                else:
-                    clean[e] = acc
+            return e
+
         self.dim = dim
-        self.terms = clean
+        self.terms = _accumulate((exponents(e), as_fraction(c)) for e, c in (terms or {}).items())
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict) -> "Polynomial":
+        """Polynomial owning ``terms``, which must already be a valid term map."""
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.terms = terms
+        out._hash = None
+        return out
 
     @classmethod
     def zero(cls, dim: int) -> "Polynomial":
@@ -116,16 +135,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_dim(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
-        out = Polynomial.zero(self.dim)
-        out.terms = terms
-        return out
+        return Polynomial._trusted(self.dim, _accumulate(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -133,33 +143,20 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        out = Polynomial.zero(self.dim)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
             if c == 0:
                 return Polynomial.zero(self.dim)
-            out = Polynomial.zero(self.dim)
-            out.terms = {e: c * v for e, v in self.terms.items()}
-            return out
+            return Polynomial._trusted(self.dim, {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_dim(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = acc
-        out = Polynomial.zero(self.dim)
-        out.terms = terms
-        return out
+        other_terms = other.terms.items()
+        pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in other_terms)
+        return Polynomial._trusted(self.dim, _accumulate(pairs))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -178,22 +175,10 @@ class Polynomial:
         """Partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.dim:
             raise ValueError(f"variable index {index} out of range")
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[index] = k - 1
-            key = tuple(ne)
-            acc = terms.get(key, Fraction(0)) + c * k
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        out = Polynomial.zero(self.dim)
-        out.terms = terms
-        return out
+        # distinct monomials stay distinct, so nothing is summed or cancels
+        i = index
+        terms = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
+        return Polynomial._trusted(self.dim, terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
@@ -219,20 +204,46 @@ class Polynomial:
             total += val
         return total
 
+    def affine_substituted(
+        self, offsets: Sequence, slopes: Sequence, targets: Sequence[int], dim: int
+    ) -> "Polynomial":
+        """Substitute x_j -> offsets[j] + slopes[j] * y_targets[j] for all j.
+
+        The result is a polynomial in ``dim`` variables y.  Each power
+        (a + b y)^k that occurs is expanded once, by the binomial theorem.
+        """
+        offs, scales, targets = as_point(offsets, self.dim), as_point(slopes, self.dim), tuple(targets)
+        if len(targets) != self.dim or not all(0 <= t < dim for t in targets):
+            raise ValueError(f"expected {self.dim} target indices in range({dim})")
+
+        @cache
+        def expansion(j: int, k: int) -> list[tuple[int, Fraction]]:
+            a_pows = list(accumulate(repeat(offs[j], k), mul, initial=Fraction(1)))
+            b_pows = list(accumulate(repeat(scales[j], k), mul, initial=Fraction(1)))
+            binoms = accumulate(range(k), lambda m, i: m * (k - i) // (i + 1), initial=1)
+            return [(i, c) for i, m in enumerate(binoms) if (c := m * a_pows[k - i] * b_pows[i])]
+
+        def image(e: Exponents, c: Fraction) -> Iterable[tuple[Exponents, Fraction]]:
+            part = {(0,) * dim: c}
+            for j, k in enumerate(e):
+                if k:
+                    t = targets[j]
+                    part = _accumulate(
+                        (y[:t] + (y[t] + i,) + y[t + 1 :], v * b)
+                        for y, v in part.items()
+                        for i, b in expansion(j, k)
+                    )
+            return part.items()
+
+        pairs = chain.from_iterable(image(e, c) for e, c in self.terms.items())
+        return Polynomial._trusted(dim, _accumulate(pairs))
+
     def shifted(self, offsets: Sequence) -> "Polynomial":
         """Substitute x_j -> x_j + offsets[j]."""
         offs = as_point(offsets, self.dim)
         if all(c == 0 for c in offs):
             return self
-        result = Polynomial.zero(self.dim)
-        for e, c in self.terms.items():
-            part = Polynomial.constant(self.dim, c)
-            for j, k in enumerate(e):
-                if k:
-                    base = Polynomial.variable(self.dim, j) + Polynomial.constant(self.dim, offs[j])
-                    part = part * base**k
-            result = result + part
-        return result
+        return self.affine_substituted(offs, [1] * self.dim, range(self.dim), self.dim)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded lexicographic order."""
@@ -280,10 +291,15 @@ class Polynomial:
 
 
 class VectorField:
-    """Polynomial vector field: component j multiplies d/dx_j."""
+    """Polynomial vector field on R^dim.
+
+    ``terms`` maps ``(j, exponents)`` to the nonzero coefficient of
+    x^exponents d/dx_j; it is also the sparse vector that ``SpanBasis``
+    reduces.  ``components`` (component j multiplies d/dx_j) is derived.
+    """
 
     # _rk4_step: the field's compiled RK4 step, built by flows.rk4_flow on first use
-    __slots__ = ("dim", "components", "_hash", "_rk4_step")
+    __slots__ = ("dim", "terms", "_components", "_hash", "_rk4_step")
 
     def __init__(self, components: Sequence[Polynomial]):
         comps = tuple(components)
@@ -293,31 +309,52 @@ class VectorField:
         if len(comps) != dim or any(c.dim != dim for c in comps):
             raise ValueError("component count and dimensions must all match")
         self.dim = dim
-        self.components = comps
+        self.terms = {(j, e): c for j, comp in enumerate(comps) for e, c in comp.terms.items()}
+        self._components: tuple[Polynomial, ...] | None = comps
         self._hash: int | None = None
         self._rk4_step = None
 
     @classmethod
+    def from_terms(cls, dim: int, terms: dict) -> "VectorField":
+        """Field owning ``terms``, which must already be a valid term map on R^dim."""
+        X = cls.__new__(cls)
+        X.dim = dim
+        X.terms = terms
+        X._components = None
+        X._hash = None
+        X._rk4_step = None
+        return X
+
+    @classmethod
     def zero(cls, dim: int) -> "VectorField":
-        return cls([Polynomial.zero(dim) for _ in range(dim)])
+        return cls.from_terms(dim, {})
 
     @classmethod
     def coordinate(cls, dim: int, index: int) -> "VectorField":
         """The coordinate field d/dx_index."""
-        comps = [Polynomial.zero(dim) for _ in range(dim)]
-        comps[index] = Polynomial.constant(dim, 1)
-        return cls(comps)
+        if not 0 <= index < dim:
+            raise ValueError(f"coordinate index {index} out of range for dim {dim}")
+        return cls.from_terms(dim, {(index, (0,) * dim): Fraction(1)})
+
+    @property
+    def components(self) -> tuple[Polynomial, ...]:
+        if self._components is None:
+            per: list[dict] = [{} for _ in range(self.dim)]
+            for (j, e), c in self.terms.items():
+                per[j][e] = c
+            self._components = tuple(Polynomial._trusted(self.dim, t) for t in per)
+        return self._components
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
+        return not self.terms
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return VectorField([a + b for a, b in zip(self.components, other.components)])
+        return VectorField.from_terms(self.dim, _accumulate(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         if not isinstance(other, VectorField):
@@ -325,11 +362,14 @@ class VectorField:
         return self + (-other)
 
     def __neg__(self):
-        return VectorField([-c for c in self.components])
+        return VectorField.from_terms(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return VectorField([c * as_fraction(other) for c in self.components])
+            c = as_fraction(other)
+            if c == 0:
+                return VectorField.zero(self.dim)
+            return VectorField.from_terms(self.dim, {k: c * v for k, v in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -342,7 +382,8 @@ class VectorField:
         return tuple(c.evaluate_float(point) for c in self.components)
 
     def total_degree(self) -> int:
-        return max(c.total_degree() for c in self.components)
+        """Maximum total degree over all components; -1 for the zero field."""
+        return max((sum(e) for _, e in self.terms), default=-1)
 
     def shifted(self, offsets: Sequence) -> "VectorField":
         return VectorField([c.shifted(offsets) for c in self.components])
@@ -377,11 +418,11 @@ class VectorField:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.dim == other.dim and self.components == other.components
+        return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.dim, self.components))
+            self._hash = hash((self.dim, frozenset(self.terms.items())))
         return self._hash
 
     def __str__(self) -> str:
@@ -433,24 +474,34 @@ class Frame:
         return f"Frame(vars={self.var_names}, fields={[f.format(self.var_names) for f in self.fields]})"
 
 
+def _applied(X: VectorField, terms: Iterable[tuple[tuple[int, Exponents], Fraction]], sign: int = 1):
+    """Unsummed pairs ``((j, e), c)`` of sign * X applied to each term ``((j, f), a)``.
+
+    X(a x^f) is the sum over X's terms (i, g) -> b of a b f_i x^(f + g - unit_i);
+    the tag j passes through.
+    """
+    lowered = [(i, g[:i] + (g[i] - 1,) + g[i + 1 :], sign * b) for (i, g), b in X.terms.items()]
+    for (j, f), a in terms:
+        for i, g, b in lowered:
+            k = f[i]
+            if k:
+                yield (j, tuple(map(add, g, f))), a * b * k
+
+
 def vf_apply(X: VectorField, f: Polynomial) -> Polynomial:
     """Directional derivative Xf = sum_j X_j df/dx_j."""
     if X.dim != f.dim:
         raise ValueError(f"dimension mismatch: field {X.dim} vs polynomial {f.dim}")
-    result = Polynomial.zero(f.dim)
-    for j, comp in enumerate(X.components):
-        if not comp.is_zero:
-            result = result + comp * f.diff(j)
-    return result
+    pairs = _applied(X, (((0, e), c) for e, c in f.terms.items()))
+    return Polynomial._trusted(f.dim, {e: c for (_, e), c in _accumulate(pairs).items()})
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Lie bracket [X, Y]; component j is X(Y_j) - Y(X_j)."""
     if X.dim != Y.dim:
         raise ValueError(f"dimension mismatch: {X.dim} vs {Y.dim}")
-    return VectorField(
-        [vf_apply(X, Yj) - vf_apply(Y, Xj) for Xj, Yj in zip(X.components, Y.components)]
-    )
+    pairs = chain(_applied(X, Y.terms.items()), _applied(Y, X.terms.items(), -1))
+    return VectorField.from_terms(X.dim, _accumulate(pairs))
 
 
 def vf_eval(X: VectorField, point: Sequence) -> Point:
@@ -471,30 +522,3 @@ def frame_rank_at(fields: Sequence[VectorField], point: Sequence) -> int:
     from . import linalg
 
     return linalg.rank([f.evaluate(pt) for f in fields])
-
-
-def field_to_vec(X: VectorField) -> dict:
-    """Flatten a field to a sparse vector keyed by (component, exponents)."""
-    vec = {}
-    for j, comp in enumerate(X.components):
-        for e, c in comp.terms.items():
-            vec[(j, e)] = c
-    return vec
-
-
-def vec_to_field(dim: int, vec: Mapping) -> VectorField:
-    comps = [dict() for _ in range(dim)]
-    for (j, e), c in vec.items():
-        comps[j][e] = c
-    return VectorField([Polynomial(dim, t) for t in comps])
-
-
-def fields_independent(fields: Iterable[VectorField]) -> bool:
-    """Linear independence over Q as vector fields."""
-    from .linalg import SpanBasis
-
-    span = SpanBasis()
-    for f in fields:
-        if not span.insert(field_to_vec(f)):
-            return False
-    return True

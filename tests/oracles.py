@@ -55,6 +55,20 @@ def naive_add(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def naive_substitute(d: dict, offsets, slopes, targets, dim: int) -> dict:
+    """d with x_j -> offsets[j] + slopes[j] * y_targets[j], by repeated multiplication."""
+    out: dict = {}
+    for e, c in d.items():
+        part = {(0,) * dim: c}
+        for j, k in enumerate(e):
+            unit = tuple(int(i == targets[j]) for i in range(dim))
+            linear = naive_add({(0,) * dim: Fraction(offsets[j])}, {unit: Fraction(slopes[j])})
+            for _ in range(k):
+                part = naive_mul(part, linear)
+        out = naive_add(out, part)
+    return out
+
+
 def naive_apply(X: VectorField, f: dict) -> dict:
     out: dict = {}
     for j, comp in enumerate(X.components):

@@ -145,6 +145,21 @@ def test_cli_exit_code_rank_failure(tmp_path, capsys):
     assert payload["error"]["kind"] == "rank_condition_failure"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--weights", "1,2"], ["--point", "0,0"], ["--stratify", "--samples", "0"]],
+    ids=["weights_length", "point_length", "zero_samples"],
+)
+def test_cli_exit_code_usage_error(tmp_path, capsys, flags):
+    src = _write(tmp_path, "e1.frame", E1_TEXT)
+    out = tmp_path / "diag.json"
+    assert main(["analyze", src, "--json", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert json.loads(out.read_text())["error"]["kind"] == "usage_error"
+
+
 def test_cli_exit_code_not_privileged(tmp_path):
     src = _write(tmp_path, "np.frame", NOT_PRIVILEGED_TEXT)
     assert main(["analyze", src]) == 4
@@ -209,14 +224,22 @@ def test_analyze_document_point_line():
 
 
 def test_console_script_smoke(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import ars
+
+    # the child imports the same ars package as this process, installed or not
+    package_root = str(Path(ars.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
     src = _write(tmp_path, "e1.frame", E1_TEXT)
     proc = subprocess.run(
         [sys.executable, "-m", "ars.cli", "analyze", src],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["weights"] == [1, 2, 5]

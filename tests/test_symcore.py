@@ -16,7 +16,14 @@ from ars.symcore import (
     vf_eval,
 )
 
-from oracles import finite_difference_apply, naive_bracket
+from oracles import (
+    dict_to_poly,
+    finite_difference_apply,
+    naive_apply,
+    naive_bracket,
+    naive_substitute,
+    poly_to_dict,
+)
 
 
 def P(dim, s=None, **terms):
@@ -173,6 +180,63 @@ def test_bracket_matches_naive_oracle(fields):
 def test_apply_leibniz_rule(data):
     X, f, g = data
     assert vf_apply(X, f * g) == f * vf_apply(X, g) + g * vf_apply(X, f)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(field_pairs_with_poly())
+def test_apply_matches_naive_oracle(data):
+    X, f, _ = data
+    assert vf_apply(X, f) == dict_to_poly(X.dim, naive_apply(X, poly_to_dict(f)))
+
+
+# --- the term map -----------------------------------------------------------
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(field_triples())
+def test_field_constructors_agree(fields):
+    X, Y, _ = fields
+    reordered = VectorField.from_terms(X.dim, dict(reversed(list(X.terms.items()))))
+    bracket = lie_bracket(X, Y)
+    for built, same in [
+        (reordered, X),
+        (VectorField(bracket.components), bracket),
+        (naive_bracket(X, Y), bracket),
+    ]:
+        assert built == same
+        assert hash(built) == hash(same)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(field_triples())
+def test_components_round_trip(fields):
+    X, Y, Z = fields
+    for field in (X, lie_bracket(Y, Z), X - Fraction(2, 3) * Y):
+        assert VectorField(field.components) == field
+        assert VectorField.from_terms(field.dim, dict(field.terms)).components == field.components
+
+
+@st.composite
+def substitutions(draw, max_dim: int = 3):
+    dim = draw(st.integers(1, max_dim))
+    p = draw(polynomials(dim, max_degree=5))
+    offsets = draw(st.lists(coeffs | st.just(Fraction(0)), min_size=dim, max_size=dim))
+    slopes = draw(st.lists(coeffs | st.just(Fraction(0)), min_size=dim, max_size=dim))
+    return p, offsets, slopes
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(substitutions())
+def test_affine_substitution_matches_naive_products(data):
+    p, offsets, slopes = data
+    n = p.dim
+    # the shift x_j -> x_j + offsets[j], and the line x_j -> offsets[j] + slopes[j] t
+    assert p.shifted(offsets) == dict_to_poly(
+        n, naive_substitute(poly_to_dict(p), offsets, [1] * n, range(n), n)
+    )
+    assert p.affine_substituted(offsets, slopes, [0] * n, 1) == dict_to_poly(
+        1, naive_substitute(poly_to_dict(p), offsets, slopes, [0] * n, 1)
+    )
 
 
 # --- evaluation and rank ----------------------------------------------------
