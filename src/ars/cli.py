@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 parse or usage error (an option that does not fit
-the frame), 3 rank-condition failure, 4 the coordinates are not privileged
-for the weights, 5 degenerate approximation (the report is still written).
+the frame, or an ARS_MAX_DEGREE that is not an integer >= 1), 3
+rank-condition failure, 4 the coordinates are not privileged for the
+weights, 5 degenerate approximation (the report is still written).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .grading import RankConditionFailure, check_weights
 from .locus import genericity_codims
 from .parser import ParseError, parse_frame
 from .pipeline import REPORT_SCHEMA, AnalyzeOptions, NotPrivileged, Report, analyze
-from .symcore import as_point
+from .symcore import as_point, max_degree_cap
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -96,7 +97,8 @@ def _diagnostic(kind: str, message: str, report: Report | None) -> dict:
 
 
 def _check_usage(options: AnalyzeOptions, dim: int) -> None:
-    """Raise ValueError when an option does not fit a frame on R^dim."""
+    """Raise ValueError when an option does not fit a frame on R^dim or ARS_MAX_DEGREE is invalid."""
+    max_degree_cap()
     if options.weights != "auto":
         check_weights(options.weights, dim)
     if options.point is not None:

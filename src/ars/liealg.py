@@ -2,10 +2,10 @@
 
 A :class:`LieBasis` stores a finite-dimensional algebra as a canonical
 reduced basis over the monomial-coefficient vector space together with its
-structure constants.  Fields are bracketed only to find the algebra and its
-table; ideals, series and the derivation check run on coordinate vectors
-with the structure constants.  Spans, memberships and series computations
-are all exact.
+sparse structure constants.  Fields are bracketed only to find the algebra
+and its table; ideals, series and the derivation check run on coordinate
+vectors with the table's nonzero entries.  Spans, memberships and series
+computations are all exact.
 """
 
 from __future__ import annotations
@@ -39,45 +39,63 @@ class GradedFrameUnavailable(ArsError):
     """No homogeneous echelon frame exists (rank deficit or inhomogeneous span)."""
 
 
-def _antisymmetric_table(size: int, coords) -> tuple:
-    """Structure constants from ``coords(i, j)`` for i < j only; [b_j, b_i] = -[b_i, b_j]."""
-    table = [[(Fraction(0),) * size] * size for _ in range(size)]
+def _antisymmetric_table(span: SpanBasis, bracket) -> list[dict]:
+    """Sparse structure constants of the basis ``span.rows()``.
+
+    ``bracket(i, j)`` is the sparse vector of [b_i, b_j] over the span's
+    keys; it is called for i < j only.  Only nonzero brackets get an entry,
+    with their coordinates, and [b_j, b_i] = -[b_i, b_j] is written alongside.
+    """
+    size = span.dim
+    table: list[dict] = [{} for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            c = coords(i, j)
-            if c is None:
+            vec = bracket(i, j)
+            if not vec:
+                continue
+            coords = span.coordinates(vec)
+            if coords is None:
                 raise ArsError("internal error: span is not closed under brackets")
-            table[i][j] = tuple(c)
-            table[j][i] = tuple(-x for x in c)
-    return tuple(map(tuple, table))
+            table[i][j] = {k: c for k, c in enumerate(coords) if c}
+            table[j][i] = {k: -c for k, c in table[i][j].items()}
+    return table
 
 
 class LieBasis:
-    """Vector-space basis of a Lie algebra with structure constants.
+    """Vector-space basis of a Lie algebra with sparse structure constants.
 
-    ``basis`` is the canonical reduced basis of the span; ``structure``
-    holds rationals c[i][j][k] with [b_i, b_j] = sum_k c[i][j][k] b_k.
+    ``basis`` is the canonical reduced basis of the span.  The table lists
+    only the nonzero brackets: ``_table[i][j] = {k: c}`` with every c nonzero
+    and [b_i, b_j] = sum_k c b_k; a missing j means [b_i, b_j] = 0.
+    ``structure`` is the dense view c[i][j][k], built on each access.
     Elements are also handled as coordinate vectors: sparse dicts from basis
-    index to coefficient, bracketed with the table alone.
+    index to coefficient, bracketed with the table alone; :meth:`ad` reads
+    the brackets of one vector with the whole basis from the nonzero entries.
     """
 
-    __slots__ = ("dim", "basis", "structure", "_span", "_table")
+    __slots__ = ("dim", "basis", "_span", "_table")
 
-    def __init__(self, dim: int, basis: Sequence[VectorField], structure, span: SpanBasis):
+    def __init__(self, dim: int, basis: Sequence[VectorField], table: list[dict], span: SpanBasis):
         self.dim = dim
         self.basis = tuple(basis)
-        self.structure = structure
         self._span = span
-        self._table = [[{k: c for k, c in enumerate(cs) if c} for cs in row] for row in structure]
+        self._table = table
 
     @classmethod
     def from_span(cls, dim: int, span: SpanBasis) -> "LieBasis":
         """Bracket the canonical basis once per pair i < j; antisymmetry fills the rest."""
         basis = [VectorField.from_terms(dim, row) for row in span.rows()]
-        table = _antisymmetric_table(
-            len(basis), lambda i, j: span.coordinates(lie_bracket(basis[i], basis[j]).terms)
-        )
+        table = _antisymmetric_table(span, lambda i, j: lie_bracket(basis[i], basis[j]).terms)
         return cls(dim, basis, table, span)
+
+    @property
+    def structure(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Dense structure constants c[i][j][k], derived from the sparse table."""
+        size, zero, empty = len(self.basis), Fraction(0), {}
+        return tuple(
+            tuple(tuple(row.get(j, empty).get(k, zero) for k in range(size)) for j in range(size))
+            for row in self._table
+        )
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -107,8 +125,21 @@ class LieBasis:
         """Bracket of two coordinate vectors, read from the structure constants."""
         table = self._table
         return _accumulate(
-            (k, a * b * c) for i, a in u.items() for j, b in v.items() for k, c in table[i][j].items()
+            (k, a * b * c)
+            for i, a in u.items() for j, b in v.items() if j in table[i] for k, c in table[i][j].items()
         )
+
+    def ad(self, v: dict) -> list[dict]:
+        """The nonzero brackets [v, b_i] of a coordinate vector with the basis.
+
+        [v, b_i] = sum_j v_j [b_j, b_i], so only the nonzero entries of the
+        table's rows j in v are visited.
+        """
+        columns: dict = {}
+        for j, a in v.items():
+            for i, entry in self._table[j].items():
+                columns.setdefault(i, []).extend((k, a * c) for k, c in entry.items())
+        return [w for w in map(_accumulate, columns.values()) if w]
 
     def _subalgebra(self, rows: Iterable[dict]) -> "LieBasis":
         """Subalgebra spanned by coordinate vectors, on its canonical field basis.
@@ -125,9 +156,7 @@ class LieBasis:
             span.insert(field_vec(row))
         basis = [VectorField.from_terms(self.dim, row) for row in span.rows()]
         inner = [self._coords(b) for b in basis]
-        table = _antisymmetric_table(
-            len(basis), lambda p, q: span.coordinates(field_vec(self._bracket(inner[p], inner[q])))
-        )
+        table = _antisymmetric_table(span, lambda p, q: field_vec(self._bracket(inner[p], inner[q])))
         return LieBasis(self.dim, basis, table, span)
 
     def __repr__(self) -> str:
@@ -198,14 +227,14 @@ def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
 
     The ideal is the smallest subspace of L's coordinates that contains the
     generators and is invariant under every ad(b_i); no field is bracketed.
+    Each vector that grows the span contributes its brackets [v, b_i].
     """
-    units = [{i: Fraction(1)} for i in range(len(L))]
     span = SpanBasis()
     todo = [L._coords(g) for g in generators]
     while todo:
         v = todo.pop()
         if span.insert(v):
-            todo.extend(L._bracket(e, v) for e in units)
+            todo.extend(L.ad(v))
     return L._subalgebra(span.rows())
 
 
@@ -213,15 +242,19 @@ def _series(L: LieBasis, derived: bool) -> int | None:
     """Bracketings until the lower central (or derived) series vanishes; None when it stalls.
 
     Runs on L's structure constants: the terms are coordinate subspaces.
+    The next lower central term [L, C] is spanned by ad(v) of C's rows, the
+    next derived term [D, D] by the brackets of pairs of D's rows.
     """
-    units = [{i: Fraction(1)} for i in range(len(L))]
-    current = units
+    current = [{i: Fraction(1)} for i in range(len(L))]
     step = 0
     while current:
         span = SpanBasis()
-        for u in current if derived else units:
-            for v in current:
-                span.insert(L._bracket(u, v))
+        if derived:
+            brackets = (L._bracket(u, v) for p, u in enumerate(current) for v in current[p + 1:])
+        else:
+            brackets = (w for v in current for w in L.ad(v))
+        for w in brackets:
+            span.insert(w)
         step += 1
         # the series is decreasing, so an equal dimension means it stalled
         if span.dim == len(current):

@@ -15,9 +15,15 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 
+_ZERO = Fraction(0)
+
+
 def _row_vec(row: Iterable[Fraction], tag: int | None = None) -> dict:
-    """Sparse form of a dense row, keyed by column or by ``(tag, column)``."""
-    return {i if tag is None else (tag, i): x for i, x in enumerate(row) if x != 0}
+    """Sparse form of a dense row, keyed by column or by ``(tag, column)``.
+
+    Entries become Fractions here, so the dense routines stay exact on ints.
+    """
+    return {i if tag is None else (tag, i): Fraction(x) for i, x in enumerate(row) if x != 0}
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -102,20 +108,21 @@ class SpanBasis:
     def _subtract(v: dict, coef: Fraction, row: dict) -> None:
         """v -= coef * row in place, dropping entries that cancel."""
         for k, c in row.items():
-            nv = v.get(k, Fraction(0)) - coef * c
-            if nv == 0:
-                v.pop(k, None)
-            else:
+            nv = v[k] - coef * c if k in v else -coef * c
+            if nv:
                 v[k] = nv
+            else:
+                del v[k]
 
     def reduce(self, vec: dict) -> dict:
         """Remainder of vec after subtracting its span component.
 
         Rows are fully reduced, so subtracting one never brings in another
         row's leading key: each leading key present in vec is cleared once,
-        highest first.
+        highest first.  vec is copied, not coerced: its values must already
+        be nonzero Fractions.
         """
-        v = {k: Fraction(c) for k, c in vec.items() if c != 0}
+        v = dict(vec)
         for lead in sorted((k for k in v if k in self._rows), reverse=True):
             self._subtract(v, v[lead], self._rows[lead])
         return v
@@ -146,7 +153,7 @@ class SpanBasis:
         """
         if self.reduce(vec):
             return None
-        return [Fraction(vec.get(k, 0)) for k in self.leading_keys()]
+        return [vec.get(k, _ZERO) for k in self.leading_keys()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpanBasis):

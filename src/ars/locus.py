@@ -84,11 +84,16 @@ def determinant_gradient(frame: Frame) -> tuple[Polynomial, ...]:
     return tuple(d.diff(j) for j in range(frame.dim))
 
 
+def _point_text(pt: Point) -> str:
+    """A point as ``(1/2, 0)``, not as a tuple of Fraction reprs."""
+    return "(" + ", ".join(map(str, pt)) + ")"
+
+
 def det_submersion_check(frame: Frame, point: Sequence) -> bool:
     """True iff the determinant has a nonzero gradient at a corank-1 point."""
     pt = as_point(point, frame.dim)
     if corank_at(frame, pt) != 1:
-        raise NotOnZ1(f"corank at {pt} is not 1")
+        raise NotOnZ1(f"corank at {_point_text(pt)} is not 1")
     return any(g.evaluate(pt) != 0 for g in determinant_gradient(frame))
 
 
@@ -102,10 +107,10 @@ def tangency_check(frame: Frame, point: Sequence) -> bool:
     """
     pt = as_point(point, frame.dim)
     if corank_at(frame, pt) != 1:
-        raise NotOnZ1(f"corank at {pt} is not 1")
+        raise NotOnZ1(f"corank at {_point_text(pt)} is not 1")
     grad = [g.evaluate(pt) for g in determinant_gradient(frame)]
     if all(c == 0 for c in grad):
-        raise DegenerateZ1(f"the determinant is singular at {pt}")
+        raise DegenerateZ1(f"the determinant is singular at {_point_text(pt)}")
     for f in frame.fields:
         v = f.evaluate(pt)
         if sum(a * b for a, b in zip(grad, v)) != 0:

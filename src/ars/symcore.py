@@ -43,8 +43,19 @@ def as_point(values: Sequence, dim: int) -> Point:
 
 
 def max_degree_cap() -> int:
-    """Safety cap on polynomial total degree, from ARS_MAX_DEGREE."""
-    return int(os.environ.get("ARS_MAX_DEGREE", "64"))
+    """Safety cap on polynomial total degree, from ARS_MAX_DEGREE (default 64).
+
+    Raises ValueError, naming the variable, unless the value is an integer >= 1.
+    """
+    raw = os.environ.get("ARS_MAX_DEGREE", "64")
+    message = f"ARS_MAX_DEGREE must be an integer >= 1, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if cap < 1:
+        raise ValueError(message)
+    return cap
 
 
 def _grlex_key(exps: Exponents) -> tuple:

@@ -88,11 +88,18 @@ def test_closure_degree_bound():
         lie_closure([X, Y], max_degree=12)
 
 
+def _nearly_abelian_fields():
+    # X1 = d/dx, X2 = x^6 d/dy: L is d/dx and x^k d/dy for k <= 6, and every
+    # bracket but [d/dx, x^k d/dy] vanishes
+    return [VectorField.coordinate(2, 0), only_component(2, 1, var(2, 0) ** 6)]
+
+
 def test_structure_constants_reexpand(e1_frame, e2_frame, e3_frame):
-    algebras = [lie_closure(frame.fields) for frame in (e1_frame, e3_frame)]
+    nearly_abelian = _nearly_abelian_fields()
+    algebras = [lie_closure(fields) for fields in (e1_frame.fields, e3_frame.fields, nearly_abelian)]
     # the ideal's table comes by change of basis, not from brackets
-    for frame, gens in ((e1_frame, 1), (e2_frame, 2), (e3_frame, 3)):
-        algebras.append(ideal_closure(lie_closure(frame.fields), list(frame.fields[:gens])))
+    for fields, gens in ((e1_frame.fields, 1), (e2_frame.fields, 2), (e3_frame.fields, 3), (nearly_abelian, 1)):
+        algebras.append(ideal_closure(lie_closure(fields), list(fields[:gens])))
     for L in algebras:
         size = len(L)
         for i in range(size):
@@ -272,6 +279,7 @@ def test_series_match_naive_oracles(e1_frame, e2_frame, e3_frame):
         (_grushin_pow_fields(5), 1),
         (_chain_fields(5), 1),
         ([VectorField.coordinate(1, 0), only_component(1, 0, var(1, 0))], 1),  # affine line
+        (_nearly_abelian_fields(), 1),
     ]
     steps = []
     for fields, gens in cases:

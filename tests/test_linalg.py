@@ -86,6 +86,20 @@ def test_dense_routines_on_empty_input():
     assert solve_combination([], [1]) is None
 
 
+def test_dense_routines_keep_int_input_exact():
+    # ints become Fractions before elimination, so pivots divide exactly
+    assert rank([[3, 1], [1, 3], [4, 4]]) == 2
+    d = det([[1, 2], [3, 4]])
+    assert d == Fraction(-2) and type(d) is Fraction
+    d = det([[3, 1, 0], [1, 3, 1], [0, 1, 3]])
+    assert d == leibniz_det([[3, 1, 0], [1, 3, 1], [0, 1, 3]]) == 21 and type(d) is Fraction
+    coeffs = solve_combination([[3, 1], [1, 3]], [1, 0])
+    assert coeffs == [Fraction(3, 8), Fraction(-1, 8)]
+    coeffs = solve_combination([[3, 0], [0, 7]], [1, 1])
+    assert coeffs == [Fraction(1, 3), Fraction(1, 7)]
+    assert all(type(c) is Fraction for c in coeffs)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(matrices(), st.randoms(use_true_random=False))
 def test_span_basis_is_canonical(rows, rng):

@@ -155,6 +155,18 @@ def test_tangency_degenerate_z1():
         tangency_check(frame, (0, 5))
 
 
+def test_z1_messages_print_points_as_rationals(tangential_frame):
+    # frame {d/dx, x^2 d/dy}: corank 1 and a singular determinant on x = 0
+    frame = Frame(("x", "y"), [VectorField.coordinate(2, 0), only_component(2, 1, var(2, 0) ** 2)])
+    with pytest.raises(DegenerateZ1) as degenerate:
+        tangency_check(frame, (0, Fraction(1, 2)))
+    assert str(degenerate.value) == "the determinant is singular at (0, 1/2)"
+    for check in (det_submersion_check, tangency_check):
+        with pytest.raises(NotOnZ1) as off_locus:
+            check(tangential_frame, (Fraction(1, 2), Fraction(-3, 4)))
+        assert str(off_locus.value) == "corank at (1/2, -3/4) is not 1"
+
+
 # --- sampling -----------------------------------------------------------------
 
 

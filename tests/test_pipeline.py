@@ -146,11 +146,19 @@ def test_cli_exit_code_rank_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--weights", "1,2"], ["--point", "0,0"], ["--stratify", "--samples", "0"]],
-    ids=["weights_length", "point_length", "zero_samples"],
+    ("flags", "max_degree"),
+    [
+        (["--weights", "1,2"], None),
+        (["--point", "0,0"], None),
+        (["--stratify", "--samples", "0"], None),
+        ([], "abc"),
+        ([], "-5"),
+    ],
+    ids=["weights_length", "point_length", "zero_samples", "max_degree_not_int", "max_degree_negative"],
 )
-def test_cli_exit_code_usage_error(tmp_path, capsys, flags):
+def test_cli_exit_code_usage_error(tmp_path, capsys, monkeypatch, flags, max_degree):
+    if max_degree is not None:
+        monkeypatch.setenv("ARS_MAX_DEGREE", max_degree)
     src = _write(tmp_path, "e1.frame", E1_TEXT)
     out = tmp_path / "diag.json"
     assert main(["analyze", src, "--json", str(out), *flags]) == 2
