@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_p = sub.add_parser("analyze", help="run the full pipeline")
     _add_common(analyze_p)
-    analyze_p.add_argument("--probe-flows", action="store_true")
+    analyze_p.add_argument("--probe-flows", action="store_true",
+                           help="report the exact completeness certificate of each approximating field")
     analyze_p.add_argument("--stratify", action="store_true")
     analyze_p.add_argument("--samples", type=int, default=200)
     analyze_p.add_argument("--seed", type=int, default=0)

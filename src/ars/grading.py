@@ -103,7 +103,7 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
     for f in frame.fields:
         if span.insert(f.terms):
             frontier.append(f)
-            values.insert({i: c for i, c in enumerate(f.evaluate(point)) if c != 0})
+            values.insert({i: c for i, c in enumerate(f._evaluate(point)) if c != 0})
     dims = [values.dim]
     depth = 1
     while values.dim < n:
@@ -127,7 +127,7 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
                     )
                 if span.insert(b.terms):
                     new_frontier.append(b)
-                    values.insert({i: c for i, c in enumerate(b.evaluate(point)) if c != 0})
+                    values.insert({i: c for i, c in enumerate(b._evaluate(point)) if c != 0})
         frontier = new_frontier
         depth += 1
         dims.append(values.dim)
@@ -149,7 +149,7 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: i
     orders: list[int | None] = [None] * n
     for j in range(n):
         f = Polynomial.variable(n, j) - Polynomial.constant(n, pt[j])
-        if f.evaluate(pt) != 0:
+        if f._evaluate(pt) != 0:
             orders[j] = 0
             continue
         seen = SpanBasis()
@@ -163,7 +163,7 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: i
                     d = vf_apply(X, g)
                     if d.is_zero:
                         continue
-                    if d.evaluate(pt) != 0:
+                    if d._evaluate(pt) != 0:
                         found = True
                         break
                     if seen.insert(d.terms):

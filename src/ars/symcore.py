@@ -62,6 +62,11 @@ def _grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
+def _monomial_factors(names: Sequence[str], exps: Exponents) -> list[str]:
+    """Printed factors of a monomial, e.g. ['x', 'y^2']; empty for a constant."""
+    return [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exps) if k]
+
+
 def _accumulate(pairs: Iterable[tuple[Hashable, Fraction]]) -> dict:
     """Sum the values of equal keys, kept in first-seen order; zero sums are dropped."""
     out: dict = {}
@@ -193,7 +198,10 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
-        pt = as_point(point, self.dim)
+        return self._evaluate(as_point(point, self.dim))
+
+    def _evaluate(self, pt: Point) -> Fraction:
+        """Exact value at ``pt``, which must already be a point of Fractions."""
         total = Fraction(0)
         for e, c in self.terms.items():
             val = c
@@ -266,18 +274,8 @@ class Polynomial:
         names = list(names) if names is not None else [f"x{i+1}" for i in range(self.dim)]
         parts = []
         for e, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = " ".join(factors)
-            else:
-                body = str(abs(c)) + " " + " ".join(factors)
+            factors = _monomial_factors(names, e)
+            body = " ".join(factors if factors and abs(c) == 1 else [str(abs(c))] + factors)
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:
@@ -309,8 +307,7 @@ class VectorField:
     reduces.  ``components`` (component j multiplies d/dx_j) is derived.
     """
 
-    # _rk4_step: the field's compiled RK4 step, built by flows.rk4_flow on first use
-    __slots__ = ("dim", "terms", "_components", "_hash", "_rk4_step")
+    __slots__ = ("dim", "terms", "_components", "_hash")
 
     def __init__(self, components: Sequence[Polynomial]):
         comps = tuple(components)
@@ -323,7 +320,6 @@ class VectorField:
         self.terms = {(j, e): c for j, comp in enumerate(comps) for e, c in comp.terms.items()}
         self._components: tuple[Polynomial, ...] | None = comps
         self._hash: int | None = None
-        self._rk4_step = None
 
     @classmethod
     def from_terms(cls, dim: int, terms: dict) -> "VectorField":
@@ -333,7 +329,6 @@ class VectorField:
         X.terms = terms
         X._components = None
         X._hash = None
-        X._rk4_step = None
         return X
 
     @classmethod
@@ -386,8 +381,11 @@ class VectorField:
     __rmul__ = __mul__
 
     def evaluate(self, point: Sequence) -> Point:
-        pt = as_point(point, self.dim)
-        return tuple(c.evaluate(pt) for c in self.components)
+        return self._evaluate(as_point(point, self.dim))
+
+    def _evaluate(self, pt: Point) -> Point:
+        """Exact value at ``pt``, which must already be a point of Fractions."""
+        return tuple(c._evaluate(pt) for c in self.components)
 
     def evaluate_float(self, point: Sequence[float]) -> tuple[float, ...]:
         return tuple(c.evaluate_float(point) for c in self.components)
@@ -407,19 +405,8 @@ class VectorField:
         parts = []
         for j, comp in enumerate(self.components):
             for e, c in comp.sorted_terms():
-                factors = []
-                for name, k in zip(names, e):
-                    if k == 1:
-                        factors.append(name)
-                    elif k > 1:
-                        factors.append(f"{name}^{k}")
-                body = ""
-                if abs(c) != 1 or not factors:
-                    if abs(c) != 1:
-                        body = str(abs(c)) + " "
-                if factors:
-                    body += " ".join(factors) + " "
-                body += f"d/d{names[j]}"
+                coef = [str(abs(c))] if abs(c) != 1 else []
+                body = " ".join(coef + _monomial_factors(names, e) + [f"d/d{names[j]}"])
                 if not parts:
                     parts.append(("- " if c < 0 else "") + body)
                 else:
@@ -532,4 +519,4 @@ def frame_rank_at(fields: Sequence[VectorField], point: Sequence) -> int:
     pt = as_point(point, dim)
     from . import linalg
 
-    return linalg.rank([f.evaluate(pt) for f in fields])
+    return linalg.rank([f._evaluate(pt) for f in fields])

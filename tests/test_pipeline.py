@@ -94,6 +94,18 @@ def test_analyze_probes_and_stratification(e1_doc):
     assert report.stratification
 
 
+def test_probe_flows_reports_exact_certificate():
+    # z d/dz has the complete flow z e^t, which a long float integration
+    # reports as a blowup; the probe reports the exact certificate instead
+    doc = parse_frame(
+        "vars x y z\nfield X1 = d/dx\nfield X2 = z d/dz\nfield X3 = z d/dz + x d/dy + y d/dz\n"
+    )
+    out = analyze(doc, AnalyzeOptions(probe_flows=True)).to_json_dict()
+    assert [entry["blowups"] for entry in out["flow_probe"]] == [0, 0, 0]
+    triangular = [entry["triangular"] for entry in out["flow_probe"]]
+    assert triangular == out["approximation"]["triangular_complete"]
+
+
 def test_analyze_deterministic_bytes(e1_doc, e3_doc):
     for doc in (e1_doc, e3_doc):
         opts = AnalyzeOptions(probe_flows=True, stratify=True, samples=30, seed=7)
