@@ -22,8 +22,10 @@ from .symcore import (
     Polynomial,
     VectorField,
     as_point,
+    commute_by_support,
     lie_bracket,
     max_degree_cap,
+    variables_mask,
     vf_apply,
 )
 
@@ -38,10 +40,15 @@ class RankConditionFailure(ArsError):
 
 @dataclass(frozen=True)
 class GrowthVector:
-    """Flag dimensions at a point, one entry per bracket length."""
+    """Flag dimensions at a point, one entry per bracket length.
+
+    ``orders`` are the coordinate orders at the point up to the bound
+    ``step``, which every order reaches once the flag has full rank.
+    """
 
     dims: tuple[int, ...]
     step: int
+    orders: tuple[int | None, ...]
 
 
 def check_weights(weights: Sequence[int], dim: int) -> Weights:
@@ -118,6 +125,8 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
         new_frontier = []
         for g in frame.fields:
             for f in frontier:
+                if commute_by_support(g, f):
+                    continue
                 b = lie_bracket(g, f)
                 if b.is_zero:
                     continue
@@ -159,7 +168,11 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: i
             next_level = []
             found = False
             for g in level:
+                depends = variables_mask(g.terms)
                 for X in frame.fields:
+                    # X g = 0 when X has no direction that g depends on
+                    if not X.support[0] & depends:
+                        continue
                     d = vf_apply(X, g)
                     if d.is_zero:
                         continue
@@ -198,9 +211,8 @@ def growth_vector(
     depth = max_depth if max_depth is not None else 2 * frame.dim * max(1, frame.max_component_degree())
     cap = max_degree if max_degree is not None else max_degree_cap()
     dims, step = _flag_levels(frame, pt, depth, cap)
-    growth = GrowthVector(tuple(dims), step)
-
     orders = coordinate_orders(frame, pt, max_length=step)
+    growth = GrowthVector(tuple(dims), step, tuple(orders))
     # multiset of weights dictated by the flag, ascending
     level_weights: list[int] = []
     prev = 0

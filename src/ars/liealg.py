@@ -4,8 +4,12 @@ A :class:`LieBasis` stores a finite-dimensional algebra as a canonical
 reduced basis over the monomial-coefficient vector space together with its
 sparse structure constants.  Fields are bracketed only to find the algebra
 and its table; ideals, series and the derivation check run on coordinate
-vectors with the table's nonzero entries.  Spans, memberships and series
-computations are all exact.
+vectors with the table's nonzero entries, and the first term [L, L] of both
+series is the span of those entries.  A pair of fields is bracketed only
+when the support test allows a nonzero result: if neither field has a
+direction that the other's coefficients depend on, the bracket is zero and
+is never formed (:func:`ars.symcore.commute_by_support`).  Spans,
+memberships and series computations are all exact.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .symcore import (
     VectorField,
     _accumulate,
     as_point,
+    commute_by_support,
     lie_bracket,
     max_degree_cap,
 )
@@ -83,9 +88,17 @@ class LieBasis:
 
     @classmethod
     def from_span(cls, dim: int, span: SpanBasis) -> "LieBasis":
-        """Bracket the canonical basis once per pair i < j; antisymmetry fills the rest."""
+        """Bracket the canonical basis once per pair i < j; antisymmetry fills the rest.
+
+        Pairs that commute by support are not bracketed.
+        """
         basis = [VectorField.from_terms(dim, row) for row in span.rows()]
-        table = _antisymmetric_table(span, lambda i, j: lie_bracket(basis[i], basis[j]).terms)
+
+        def bracket(i: int, j: int) -> dict:
+            X, Y = basis[i], basis[j]
+            return {} if commute_by_support(X, Y) else lie_bracket(X, Y).terms
+
+        table = _antisymmetric_table(span, bracket)
         return cls(dim, basis, table, span)
 
     @property
@@ -212,6 +225,8 @@ def lie_closure(generators: Sequence[VectorField], max_degree: int | None = None
     while pairs:
         frontier: list[VectorField] = []
         for g, f in pairs:
+            if commute_by_support(g, f):
+                continue
             b = lie_bracket(g, f)
             if b.is_zero:
                 continue
@@ -242,25 +257,31 @@ def _series(L: LieBasis, derived: bool) -> int | None:
     """Bracketings until the lower central (or derived) series vanishes; None when it stalls.
 
     Runs on L's structure constants: the terms are coordinate subspaces.
+    Both series start with [L, L], the span of the table's nonzero entries.
     The next lower central term [L, C] is spanned by ad(v) of C's rows, the
     next derived term [D, D] by the brackets of pairs of D's rows.
     """
-    current = [{i: Fraction(1)} for i in range(len(L))]
-    step = 0
-    while current:
+    brackets: Iterable[dict] = (entry for i, row in enumerate(L._table) for j, entry in row.items() if i < j)
+    size, step = len(L), 0
+    while size:
         span = SpanBasis()
-        if derived:
-            brackets = (L._bracket(u, v) for p, u in enumerate(current) for v in current[p + 1:])
-        else:
-            brackets = (w for v in current for w in L.ad(v))
         for w in brackets:
             span.insert(w)
         step += 1
         # the series is decreasing, so an equal dimension means it stalled
-        if span.dim == len(current):
+        if span.dim == size:
             return None
         current = span.rows()
+        size = len(current)
+        brackets = _next_brackets(L, current, derived)
     return step
+
+
+def _next_brackets(L: LieBasis, current: list[dict], derived: bool) -> Iterable[dict]:
+    """Brackets spanning the series term after the one spanned by ``current``."""
+    if derived:
+        return (L._bracket(u, v) for p, u in enumerate(current) for v in current[p + 1:])
+    return (w for v in current for w in L.ad(v))
 
 
 def nilpotent_step(L: LieBasis) -> int | None:
@@ -384,7 +405,8 @@ def graded_frame(G: LieBasis, weights: Sequence[int]) -> tuple[VectorField, ...]
         for h in candidates:
             if span.insert(h.terms):
                 pool.append(h)
-        values = [[h.evaluate(origin)[j] for j in coords] for h in pool]
+        at_origin = [h.evaluate(origin) for h in pool]
+        values = [[v[j] for j in coords] for v in at_origin]
         for idx, j in enumerate(coords):
             target = [Fraction(1 if jj == idx else 0) for jj in range(len(coords))]
             coeffs = None

@@ -22,7 +22,6 @@ from .grading import (
     GrowthVector,
     RankConditionFailure,
     check_weights,
-    coordinate_orders,
     growth_vector,
 )
 from .liealg import Classification, classify_fields, graded_frame, ideal_closure, lie_closure, rank_condition_at_zero
@@ -208,7 +207,9 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
         report.weights_source = "auto"
     report.weights = weights
 
-    orders = coordinate_orders(frame, max_length=max(weights))
+    # the orders up to max(weights) are growth's orders cut at that bound
+    bound = max(weights)
+    orders = [o if o is not None and o <= bound else None for o in growth.orders]
     report.coordinate_orders = tuple(orders)
     report.privileged = all(o == w for o, w in zip(orders, weights))
     if not report.privileged:

@@ -305,9 +305,13 @@ class VectorField:
     ``terms`` maps ``(j, exponents)`` to the nonzero coefficient of
     x^exponents d/dx_j; it is also the sparse vector that ``SpanBasis``
     reduces.  ``components`` (component j multiplies d/dx_j) is derived.
+    ``support`` is the pair of bitmasks (dir, var): bit j of dir is set when
+    the field has a component along d/dx_j, bit i of var when a coefficient
+    depends on x_i.  :func:`commute_by_support` reads them to skip brackets
+    that vanish for want of overlap.
     """
 
-    __slots__ = ("dim", "terms", "_components", "_hash")
+    __slots__ = ("dim", "terms", "_components", "_support", "_hash")
 
     def __init__(self, components: Sequence[Polynomial]):
         comps = tuple(components)
@@ -319,6 +323,7 @@ class VectorField:
         self.dim = dim
         self.terms = {(j, e): c for j, comp in enumerate(comps) for e, c in comp.terms.items()}
         self._components: tuple[Polynomial, ...] | None = comps
+        self._support: tuple[int, int] | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -328,6 +333,7 @@ class VectorField:
         X.dim = dim
         X.terms = terms
         X._components = None
+        X._support = None
         X._hash = None
         return X
 
@@ -350,6 +356,16 @@ class VectorField:
                 per[j][e] = c
             self._components = tuple(Polynomial._trusted(self.dim, t) for t in per)
         return self._components
+
+    @property
+    def support(self) -> tuple[int, int]:
+        """Bitmasks (dir, var) of the directions and the variables of the field."""
+        if self._support is None:
+            directions = 0
+            for j, _ in self.terms:
+                directions |= 1 << j
+            self._support = (directions, variables_mask(e for _, e in self.terms))
+        return self._support
 
     @property
     def is_zero(self) -> bool:
@@ -472,6 +488,16 @@ class Frame:
         return f"Frame(vars={self.var_names}, fields={[f.format(self.var_names) for f in self.fields]})"
 
 
+def variables_mask(exponents: Iterable[Exponents]) -> int:
+    """Bitmask of the variables that occur in the given monomials."""
+    mask = 0
+    for e in exponents:
+        for i, k in enumerate(e):
+            if k:
+                mask |= 1 << i
+    return mask
+
+
 def _applied(X: VectorField, terms: Iterable[tuple[tuple[int, Exponents], Fraction]], sign: int = 1):
     """Unsummed pairs ``((j, e), c)`` of sign * X applied to each term ``((j, f), a)``.
 
@@ -500,6 +526,17 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         raise ValueError(f"dimension mismatch: {X.dim} vs {Y.dim}")
     pairs = chain(_applied(X, Y.terms.items()), _applied(Y, X.terms.items(), -1))
     return VectorField.from_terms(X.dim, _accumulate(pairs))
+
+
+def commute_by_support(X: VectorField, Y: VectorField) -> bool:
+    """True when [X, Y] = 0 follows from the supports alone.
+
+    [X, Y]_j = X(Y_j) - Y(X_j), and X(Y_j) vanishes unless X has a direction
+    that Y's coefficients depend on.  So dir(X) & var(Y) = dir(Y) & var(X) = 0
+    forces [X, Y] = 0; a False answer says nothing.
+    """
+    (dx, vx), (dy, vy) = X.support, Y.support
+    return not (dx & vy or dy & vx)
 
 
 def vf_eval(X: VectorField, point: Sequence) -> Point:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import ars.grading
+import ars.liealg
 from ars.cli import main
-from ars.grading import RankConditionFailure
+from ars.grading import RankConditionFailure, coordinate_orders
 from ars.parser import parse_frame
 from ars.pipeline import AnalyzeOptions, NotPrivileged, analyze
 
@@ -112,6 +116,60 @@ def test_analyze_deterministic_bytes(e1_doc, e3_doc):
         one = analyze(doc, opts).to_json()
         two = analyze(doc, opts).to_json()
         assert one == two
+
+
+@pytest.mark.parametrize("doc_name", ["e1_doc", "e2_doc", "e3_doc"])
+def test_report_orders_match_direct_computation(doc_name, request):
+    # analyze cuts the orders that growth_vector found at bound `step`;
+    # declared weights put max(w) below, at and above `step`, e.g. E1 with
+    # (1, 1, 1), (1, 2, 5) and (1, 2, 6)
+    doc = request.getfixturevalue(doc_name)
+    frame = doc.to_frame()
+    auto = analyze(doc)
+    n, step = frame.dim, auto.growth.step
+    bumped = tuple(w + (j == n - 1) for j, w in enumerate(auto.weights))
+    assert max((1,) * n) < step == max(auto.weights) < max(bumped)
+    for weights in ((1,) * n, auto.weights, bumped):
+        try:
+            report = analyze(doc, AnalyzeOptions(weights=weights))
+        except NotPrivileged as exc:
+            report = exc.report
+        assert report.coordinate_orders == tuple(coordinate_orders(frame, max_length=max(weights)))
+
+
+def _grushin_pow_text(n: int) -> str:
+    # X1 = d/dx1, Xi = x1^(i-1) d/dxi
+    names = [f"x{i}" for i in range(1, n + 1)]
+    fields = ["d/dx1"] + [f"x1^{i - 1} d/dx{i}" for i in range(2, n + 1)]
+    return "vars " + " ".join(names) + "\n" + "".join(f"field X{i + 1} = {f}\n" for i, f in enumerate(fields))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (E3_TEXT, {"grading": 14, "lie_closure": 18, "from_span": 15}),
+        (_grushin_pow_text(9), {"grading": 44, "lie_closure": 36, "from_span": 36}),
+    ],
+    ids=["E3", "grushin_pow(9)"],
+)
+def test_bracket_counts_by_caller(text, expected, monkeypatch):
+    # pairs that commute by support are never bracketed: E3 makes 47 brackets
+    # (120 without the support test), grushin_pow(9) 116 (1,746 without)
+    callers = {"_flag_levels": "grading", "lie_closure": "lie_closure", "from_span": "from_span"}
+    counts: Counter = Counter()
+    bracket = ars.liealg.lie_bracket
+
+    def counting(X, Y):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in callers:
+            frame = frame.f_back
+        counts[callers[frame.f_code.co_name] if frame is not None else "other"] += 1
+        return bracket(X, Y)
+
+    monkeypatch.setattr(ars.grading, "lie_bracket", counting)
+    monkeypatch.setattr(ars.liealg, "lie_bracket", counting)
+    analyze(parse_frame(text))
+    assert dict(counts) == expected
 
 
 # --- CLI ----------------------------------------------------------------------

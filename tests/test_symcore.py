@@ -10,6 +10,7 @@ from ars.symcore import (
     Frame,
     Polynomial,
     VectorField,
+    commute_by_support,
     frame_rank_at,
     lie_bracket,
     vf_apply,
@@ -187,6 +188,44 @@ def test_apply_leibniz_rule(data):
 def test_apply_matches_naive_oracle(data):
     X, f, _ = data
     assert vf_apply(X, f) == dict_to_poly(X.dim, naive_apply(X, poly_to_dict(f)))
+
+
+@st.composite
+def sparse_fields(draw, dim: int):
+    """One or two terms, each along a random direction with few variables.
+
+    Dense fields almost never commute by support; these often do.
+    """
+    exps = st.tuples(*([st.sampled_from((0, 0, 0, 1, 2))] * dim))
+    keys = st.tuples(st.integers(0, dim - 1), exps)
+    terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=2))
+    X = VectorField.from_terms(dim, terms)
+    # build half of them through the constructor, which sets the cache slots too
+    return VectorField(X.components) if draw(st.booleans()) else X
+
+
+@st.composite
+def sparse_field_pairs(draw, max_dim: int = 4):
+    dim = draw(st.integers(1, max_dim))
+    return draw(sparse_fields(dim)), draw(sparse_fields(dim))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(sparse_field_pairs())
+def test_support_skip_is_sound(fields):
+    X, Y = fields
+    if commute_by_support(X, Y):
+        assert lie_bracket(X, Y).is_zero
+        assert commute_by_support(Y, X)
+
+
+def test_support_masks():
+    # X = x z d/dy on R^3: direction y, variables x and z
+    X = VectorField([P(3), var(3, 0) * var(3, 2), P(3)])
+    assert X.support == (0b010, 0b101)
+    assert VectorField.zero(3).support == (0, 0)
+    assert commute_by_support(X, coord(3, 1))
+    assert not commute_by_support(X, coord(3, 0))
 
 
 # --- the term map -----------------------------------------------------------
