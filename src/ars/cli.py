@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 parse or usage error (an option that does not fit
 the frame, or an ARS_MAX_DEGREE that is not an integer >= 1), 3
 rank-condition failure, 4 the coordinates are not privileged for the
-weights, 5 degenerate approximation (the report is still written).
+weights, 5 degenerate approximation (the report is still written), 6 a
+bracket exceeded the degree cap ARS_MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .grading import RankConditionFailure, check_weights
+from .grading import DegreeBoundExceeded, RankConditionFailure, check_weights
 from .locus import genericity_codims
 from .parser import ParseError, parse_frame
 from .pipeline import REPORT_SCHEMA, AnalyzeOptions, NotPrivileged, Report, analyze
@@ -26,6 +27,7 @@ EXIT_USAGE = 2
 EXIT_RANK = 3
 EXIT_NOT_PRIVILEGED = 4
 EXIT_DEGENERATE = 5
+EXIT_DEGREE_CAP = 6
 
 
 def _parse_weights(text: str):
@@ -148,6 +150,11 @@ def _run_analysis(args, command: str) -> int:
         _write_json(_diagnostic("not_privileged", str(exc),
                                 getattr(exc, "report", None)), args.json_out)
         return EXIT_NOT_PRIVILEGED
+    except DegreeBoundExceeded as exc:
+        print(f"degree cap exceeded: {exc}", file=sys.stderr)
+        _write_json(_diagnostic("degree_cap_exceeded", str(exc),
+                                getattr(exc, "report", None)), args.json_out)
+        return EXIT_DEGREE_CAP
 
     payload = report.to_json_dict()
     if command != "analyze":

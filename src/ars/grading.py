@@ -6,13 +6,18 @@ degree of a monomial x^a is sum(a_j * w_j).  A vector field's
 valuation of component j minus w_j.  Candidate weights at a point are read
 off the bracket flag of the frame and matched to coordinates through the
 orders of the coordinate functions.
+
+:func:`bracket_rounds` is the one breadth-first bracket walk of the
+package: the flag consumes it round by round and stops at full rank, and
+:func:`ars.liealg.lie_closure` runs it to its end.  It holds the single
+degree-cap test, which raises :class:`DegreeBoundExceeded`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .linalg import SpanBasis
 from .symcore import (
@@ -36,6 +41,10 @@ INFINITE_ORDER = math.inf
 
 class RankConditionFailure(ArsError):
     """The iterated-bracket flag does not reach the full tangent space."""
+
+
+class DegreeBoundExceeded(ArsError):
+    """A bracket grew past the polynomial degree bound; check the generators."""
 
 
 @dataclass(frozen=True)
@@ -96,51 +105,61 @@ def homogeneous_orders(X: VectorField, weights: Sequence[int]) -> list[int]:
     return sorted({monomial_weighted_degree(e, w) - w[j] for j, e in X.terms})
 
 
-def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
-    """Ranks of the bracket flag at a point, level by level.
+def bracket_rounds(
+    generators: Sequence[VectorField], span: SpanBasis, max_degree: int
+) -> Iterator[list[VectorField]]:
+    """Breadth-first bracket walk, shortest words first, one round at a time.
 
-    The flag is maintained as a Q-vector space of fields; each level adds
-    brackets of the generators with the previous level's new elements.
-    Stops at full rank, at stabilization, or at the depth/degree caps.
+    Inserts the generators into ``span`` and yields those that grew it; then
+    each round yields the brackets that grew the span.  Round 1 brackets each
+    pair of independent generators once, every later round each generator
+    against the previous round's new brackets.  Pairs that commute by support
+    are skipped, and a zero bracket never grows the span.  Stops after a
+    round that grows nothing.  Raises DegreeBoundExceeded when a bracket's
+    total degree exceeds ``max_degree``.
+    """
+    gens = [g for g in generators if span.insert(g.terms)]
+    yield gens
+    pairs = [(g, f) for i, g in enumerate(gens) for f in gens[i + 1:]]
+    while pairs:
+        grew: list[VectorField] = []
+        for g, f in pairs:
+            if commute_by_support(g, f):
+                continue
+            b = lie_bracket(g, f)
+            if b.total_degree() > max_degree:
+                raise DegreeBoundExceeded(
+                    f"bracket components reached degree {b.total_degree()} > cap {max_degree}"
+                )
+            if span.insert(b.terms):
+                grew.append(b)
+        yield grew
+        pairs = [(g, f) for g in gens for f in grew]
+
+
+def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
+    """Ranks of the bracket flag at a point, one per round of :func:`bracket_rounds`.
+
+    Stops at full rank, at stabilization or at the depth cap.
     """
     n = frame.dim
-    span = SpanBasis()
     values = SpanBasis()
-    frontier: list[VectorField] = []
-    for f in frame.fields:
-        if span.insert(f.terms):
-            frontier.append(f)
+    dims: list[int] = []
+    for grew in bracket_rounds(frame.fields, SpanBasis(), max_degree):
+        for f in grew:
             values.insert({i: c for i, c in enumerate(f._evaluate(point)) if c != 0})
-    dims = [values.dim]
-    depth = 1
-    while values.dim < n:
-        if not frontier:
-            raise RankConditionFailure(
-                f"bracket flag stabilized at rank {values.dim} < {n} at point {point}"
-            )
-        if depth >= max_depth:
+        dims.append(values.dim)
+        if values.dim == n:
+            return dims, len(dims)
+        if not grew:
+            break
+        if len(dims) >= max_depth:
             raise RankConditionFailure(
                 f"bracket flag still has rank {values.dim} < {n} after depth {max_depth}"
             )
-        new_frontier = []
-        for g in frame.fields:
-            for f in frontier:
-                if commute_by_support(g, f):
-                    continue
-                b = lie_bracket(g, f)
-                if b.is_zero:
-                    continue
-                if b.total_degree() > max_degree:
-                    raise RankConditionFailure(
-                        f"bracket components exceeded the degree cap {max_degree}"
-                    )
-                if span.insert(b.terms):
-                    new_frontier.append(b)
-                    values.insert({i: c for i, c in enumerate(b._evaluate(point)) if c != 0})
-        frontier = new_frontier
-        depth += 1
-        dims.append(values.dim)
-    return dims, depth
+    raise RankConditionFailure(
+        f"bracket flag stabilized at rank {values.dim} < {n} at point {point}"
+    )
 
 
 def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: int | None = None) -> list[int | None]:
@@ -205,7 +224,9 @@ def growth_vector(
     functions; whether the match is exact is the business of
     :func:`check_privileged`.
 
-    Raises RankConditionFailure when the flag cannot reach full rank.
+    Raises RankConditionFailure when the flag cannot reach full rank, and
+    DegreeBoundExceeded when a bracket exceeds the degree cap
+    (ARS_MAX_DEGREE by default).
     """
     pt = as_point(point, frame.dim) if point is not None else frame.base_point
     depth = max_depth if max_depth is not None else 2 * frame.dim * max(1, frame.max_component_degree())

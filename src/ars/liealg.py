@@ -2,14 +2,16 @@
 
 A :class:`LieBasis` stores a finite-dimensional algebra as a canonical
 reduced basis over the monomial-coefficient vector space together with its
-sparse structure constants.  Fields are bracketed only to find the algebra
-and its table; ideals, series and the derivation check run on coordinate
-vectors with the table's nonzero entries, and the first term [L, L] of both
-series is the span of those entries.  A pair of fields is bracketed only
-when the support test allows a nonzero result: if neither field has a
-direction that the other's coefficients depend on, the bracket is zero and
-is never formed (:func:`ars.symcore.commute_by_support`).  Spans,
-memberships and series computations are all exact.
+sparse structure constants.  Fields are bracketed only to find the algebra,
+by the walk :func:`ars.grading.bracket_rounds`, and to tabulate it, by the
+one table builder :meth:`LieBasis.from_span`, which serves both L and its
+ideal G.  The ideal closure, the series and the derivation check run on
+coordinate vectors with the table's nonzero entries, and the first term
+[L, L] of both series is the span of those entries.  A pair of fields is
+bracketed only when the support test allows a nonzero result: if neither
+field has a direction that the other's coefficients depend on, the bracket
+is zero and is never formed (:func:`ars.symcore.commute_by_support`).
+Spans, memberships and series computations are all exact.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .approx import ApproximationSet, DegenerateApproximation
-from .grading import check_weights, homogeneous_component, homogeneous_orders
+from .grading import DegreeBoundExceeded, bracket_rounds, check_weights, homogeneous_component, homogeneous_orders
 from .linalg import SpanBasis, rank, solve_combination
 from .symcore import (
     ArsError,
@@ -32,38 +34,12 @@ from .symcore import (
 )
 
 
-class DegreeBoundExceeded(ArsError):
-    """A bracket grew past the polynomial degree bound; check the generators."""
-
-
 class NotInvariant(ArsError):
     """The field does not normalize the given algebra."""
 
 
 class GradedFrameUnavailable(ArsError):
     """No homogeneous echelon frame exists (rank deficit or inhomogeneous span)."""
-
-
-def _antisymmetric_table(span: SpanBasis, bracket) -> list[dict]:
-    """Sparse structure constants of the basis ``span.rows()``.
-
-    ``bracket(i, j)`` is the sparse vector of [b_i, b_j] over the span's
-    keys; it is called for i < j only.  Only nonzero brackets get an entry,
-    with their coordinates, and [b_j, b_i] = -[b_i, b_j] is written alongside.
-    """
-    size = span.dim
-    table: list[dict] = [{} for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            vec = bracket(i, j)
-            if not vec:
-                continue
-            coords = span.coordinates(vec)
-            if coords is None:
-                raise ArsError("internal error: span is not closed under brackets")
-            table[i][j] = {k: c for k, c in enumerate(coords) if c}
-            table[j][i] = {k: -c for k, c in table[i][j].items()}
-    return table
 
 
 class LieBasis:
@@ -90,15 +66,22 @@ class LieBasis:
     def from_span(cls, dim: int, span: SpanBasis) -> "LieBasis":
         """Bracket the canonical basis once per pair i < j; antisymmetry fills the rest.
 
-        Pairs that commute by support are not bracketed.
+        Pairs that commute by support are not bracketed.  Only nonzero
+        brackets get an entry, with their coordinates in the basis.
         """
         basis = [VectorField.from_terms(dim, row) for row in span.rows()]
-
-        def bracket(i: int, j: int) -> dict:
-            X, Y = basis[i], basis[j]
-            return {} if commute_by_support(X, Y) else lie_bracket(X, Y).terms
-
-        table = _antisymmetric_table(span, bracket)
+        table: list[dict] = [{} for _ in basis]
+        for i, X in enumerate(basis):
+            for j in range(i + 1, len(basis)):
+                if commute_by_support(X, basis[j]):
+                    continue
+                coords = span.coordinates(lie_bracket(X, basis[j]).terms)
+                if coords is None:
+                    raise ArsError("internal error: span is not closed under brackets")
+                entry = {k: c for k, c in enumerate(coords) if c}
+                if entry:
+                    table[i][j] = entry
+                    table[j][i] = {k: -c for k, c in entry.items()}
         return cls(dim, basis, table, span)
 
     @property
@@ -154,24 +137,6 @@ class LieBasis:
                 columns.setdefault(i, []).extend((k, a * c) for k, c in entry.items())
         return [w for w in map(_accumulate, columns.values()) if w]
 
-    def _subalgebra(self, rows: Iterable[dict]) -> "LieBasis":
-        """Subalgebra spanned by coordinate vectors, on its canonical field basis.
-
-        Its table comes from this one by change of basis.
-        """
-        field_rows = self._span.rows()
-
-        def field_vec(u: dict) -> dict:
-            return _accumulate((key, a * c) for k, a in u.items() for key, c in field_rows[k].items())
-
-        span = SpanBasis()
-        for row in rows:
-            span.insert(field_vec(row))
-        basis = [VectorField.from_terms(self.dim, row) for row in span.rows()]
-        inner = [self._coords(b) for b in basis]
-        table = _antisymmetric_table(span, lambda p, q: field_vec(self._bracket(inner[p], inner[q])))
-        return LieBasis(self.dim, basis, table, span)
-
     def __repr__(self) -> str:
         return f"LieBasis(dim={len(self.basis)}, ambient={self.dim})"
 
@@ -195,21 +160,12 @@ class Classification:
     order: tuple[int, ...]
 
 
-def _check_degrees(X: VectorField, cap: int) -> None:
-    if X.total_degree() > cap:
-        raise DegreeBoundExceeded(
-            f"bracket components reached degree {X.total_degree()} > cap {cap}"
-        )
-
-
 def lie_closure(generators: Sequence[VectorField], max_degree: int | None = None) -> LieBasis:
     """Smallest Lie algebra containing the generators, as a closed basis.
 
-    Brackets are explored breadth-first, shortest words first: each pair of
-    independent generators once, then every generator against the brackets
-    that grew the span in the previous round.  The degree cap
+    Runs :func:`ars.grading.bracket_rounds` to its end.  The degree cap
     (ARS_MAX_DEGREE by default) catches generator sets that do not produce a
-    finite-dimensional algebra.
+    finite-dimensional algebra: DegreeBoundExceeded.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -220,20 +176,8 @@ def lie_closure(generators: Sequence[VectorField], max_degree: int | None = None
     cap = max_degree if max_degree is not None else max_degree_cap()
 
     span = SpanBasis()
-    gens = [g for g in gens if span.insert(g.terms)]
-    pairs = [(g, f) for i, g in enumerate(gens) for f in gens[i + 1:]]
-    while pairs:
-        frontier: list[VectorField] = []
-        for g, f in pairs:
-            if commute_by_support(g, f):
-                continue
-            b = lie_bracket(g, f)
-            if b.is_zero:
-                continue
-            _check_degrees(b, cap)
-            if span.insert(b.terms):
-                frontier.append(b)
-        pairs = [(g, f) for g in gens for f in frontier]
+    for _ in bracket_rounds(gens, span, cap):
+        pass
     return LieBasis.from_span(dim, span)
 
 
@@ -241,16 +185,21 @@ def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
     """Smallest ideal of L containing the generators.
 
     The ideal is the smallest subspace of L's coordinates that contains the
-    generators and is invariant under every ad(b_i); no field is bracketed.
-    Each vector that grows the span contributes its brackets [v, b_i].
+    generators and is invariant under every ad(b_i), found without
+    bracketing a field: each vector that grows the span contributes its
+    brackets [v, b_i].  Its rows are then mapped to fields, and
+    :meth:`LieBasis.from_span` tabulates the ideal as it does L.
     """
-    span = SpanBasis()
+    coords = SpanBasis()
     todo = [L._coords(g) for g in generators]
     while todo:
         v = todo.pop()
-        if span.insert(v):
+        if coords.insert(v):
             todo.extend(L.ad(v))
-    return L._subalgebra(span.rows())
+    span = SpanBasis()
+    for row in coords.rows():
+        span.insert(_accumulate((key, a * c) for k, a in row.items() for key, c in L.basis[k].terms.items()))
+    return LieBasis.from_span(L.dim, span)
 
 
 def _series(L: LieBasis, derived: bool) -> int | None:

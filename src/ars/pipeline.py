@@ -19,6 +19,7 @@ from typing import Sequence
 from . import locus as locus_mod
 from .approx import ApproximationSet, build_approximation, check_triangular_complete
 from .grading import (
+    DegreeBoundExceeded,
     GrowthVector,
     RankConditionFailure,
     check_weights,
@@ -165,9 +166,11 @@ def _determinant_summary(frame: Frame) -> tuple[dict, list[str]]:
 def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report:
     """Run the full pipeline on a parsed document.
 
-    Raises RankConditionFailure or NotPrivileged (with a partial report
-    attached as ``exc.report``) when the corresponding precondition fails;
-    a degenerate approximation is returned inside the report instead.
+    Raises RankConditionFailure or NotPrivileged when the corresponding
+    precondition fails, and DegreeBoundExceeded when a bracket of the flag
+    or of the algebra exceeds the degree cap; each carries the partial
+    report as ``exc.report``.  A degenerate approximation is returned inside
+    the report instead.
     """
     options = options or AnalyzeOptions()
     frame = doc.to_frame()
@@ -191,7 +194,7 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
 
     try:
         growth, auto_weights = growth_vector(frame, max_depth=options.max_bracket_depth)
-    except RankConditionFailure as exc:
+    except (RankConditionFailure, DegreeBoundExceeded) as exc:
         exc.report = report  # type: ignore[attr-defined]
         raise
     report.growth = growth
@@ -228,7 +231,11 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
         )
         return report
 
-    L = lie_closure(A.fields)
+    try:
+        L = lie_closure(A.fields)
+    except DegreeBoundExceeded as exc:
+        exc.report = report  # type: ignore[attr-defined]
+        raise
     G = ideal_closure(L, A.hat_fields[: A.k])
     report.classification = classify_fields(A, L, G)
     report.ideal_full_rank = rank_condition_at_zero(G, frame.base_point)

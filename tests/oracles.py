@@ -213,6 +213,30 @@ def derived_dims(basis: list[VectorField]) -> list[int]:
     return _series_dims(basis, derived=True)
 
 
+def naive_eval(X: VectorField, point) -> list[Fraction]:
+    return [
+        sum((c * math.prod(Fraction(p) ** k for p, k in zip(point, e)) for e, c in comp.terms.items()), Fraction(0))
+        for comp in X.components
+    ]
+
+
+def naive_flag_dims(fields: list[VectorField], point, depth: int) -> list[int]:
+    """Rank at the point of all left-normed bracket words of length <= s, s = 1..depth.
+
+    Every word [..[[X_i1, X_i2], X_i3].., X_is] is formed, in every order,
+    with no pruning of dependent words and no support test.
+    """
+    dims: list[int] = []
+    values: list[list[Fraction]] = []
+    level = list(fields)
+    for s in range(1, depth + 1):
+        if s > 1:
+            level = [naive_bracket(w, f) for w in level for f in fields]
+        values.extend(naive_eval(w, point) for w in level)
+        dims.append(dense_rank(values))
+    return dims
+
+
 # ---------------------------------------------------------------------------
 # determinant oracles
 

@@ -17,9 +17,10 @@ from ars.grading import (
     weighted_valuation,
 )
 from ars.parser import parse_frame
-from ars.symcore import Polynomial, VectorField
+from ars.symcore import Frame, Polynomial, VectorField
 
 from conftest import NOT_PRIVILEGED_TEXT, RANK_FAIL_TEXT
+from oracles import naive_flag_dims
 
 INF = math.inf
 
@@ -230,3 +231,48 @@ def _dense_polys(dim, max_degree: int = 3):
 def test_depth_bound_triggers_rank_failure(e1_frame):
     with pytest.raises(RankConditionFailure):
         growth_vector(e1_frame, max_depth=2)
+
+
+# --- the bracket flag against every bracket word ------------------------------
+
+FLAG_DEPTH = 4
+
+
+@st.composite
+def sparse_frame(draw):
+    """A frame on R^2 or R^3 of low-degree fields with one to three terms.
+
+    Some fields are zero or repeat an earlier field, so the flag meets
+    dependent generators.
+    """
+    dim = draw(st.integers(2, 3))
+    exps = st.tuples(*([st.integers(0, 2)] * dim)).filter(lambda e: sum(e) <= 2)
+    fields: list[VectorField] = []
+    for _ in range(dim):
+        kind = draw(st.sampled_from(["field"] * 4 + ["zero", "repeat"]))
+        if kind == "zero":
+            fields.append(VectorField.zero(dim))
+        elif kind == "repeat" and fields:
+            fields.append(draw(st.sampled_from(fields)))
+        else:
+            comps = [dict() for _ in range(dim)]
+            for _ in range(draw(st.integers(1, 3))):
+                comps[draw(st.integers(0, dim - 1))][draw(exps)] = draw(coeffs)
+            fields.append(VectorField([Polynomial(dim, c) for c in comps]))
+    point = draw(st.sampled_from([(0,) * dim, (1,) * dim, tuple(range(dim))]))
+    return Frame([f"x{j}" for j in range(dim)], fields), point
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(sparse_frame())
+def test_flag_matches_every_bracket_word(drawn):
+    frame, point = drawn
+    naive = naive_flag_dims(list(frame.fields), point, FLAG_DEPTH)
+    if frame.dim not in naive:
+        with pytest.raises(RankConditionFailure):
+            growth_vector(frame, point=point, max_depth=FLAG_DEPTH)
+        return
+    growth, _ = growth_vector(frame, point=point, max_depth=FLAG_DEPTH)
+    step = naive.index(frame.dim) + 1
+    assert growth.dims == tuple(naive[:step])
+    assert growth.step == step

@@ -147,14 +147,15 @@ def _grushin_pow_text(n: int) -> str:
 @pytest.mark.parametrize(
     "text, expected",
     [
-        (E3_TEXT, {"grading": 14, "lie_closure": 18, "from_span": 15}),
-        (_grushin_pow_text(9), {"grading": 44, "lie_closure": 36, "from_span": 36}),
+        (E3_TEXT, {"grading": 7, "lie_closure": 18, "from_span": 19}),
+        (_grushin_pow_text(9), {"grading": 36, "lie_closure": 36, "from_span": 64}),
     ],
     ids=["E3", "grushin_pow(9)"],
 )
 def test_bracket_counts_by_caller(text, expected, monkeypatch):
-    # pairs that commute by support are never bracketed: E3 makes 47 brackets
-    # (120 without the support test), grushin_pow(9) 116 (1,746 without)
+    # pairs that commute by support are never bracketed, the flag brackets
+    # each generator pair once, and from_span tabulates both L and its ideal
+    # G: E3 makes 44 brackets, grushin_pow(9) 136, of which 28 tabulate G
     callers = {"_flag_levels": "grading", "lie_closure": "lie_closure", "from_span": "from_span"}
     counts: Counter = Counter()
     bracket = ars.liealg.lie_bracket
@@ -236,6 +237,28 @@ def test_cli_exit_code_usage_error(tmp_path, capsys, monkeypatch, flags, max_deg
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert json.loads(out.read_text())["error"]["kind"] == "usage_error"
+
+
+@pytest.mark.parametrize(
+    ("text", "max_degree", "message"),
+    [
+        (E3_TEXT, "1", "bracket components reached degree 2 > cap 1"),
+        ("vars x y\nfield X1 = d/dx\nfield X2 = x^80 d/dy\n", None,
+         "bracket components reached degree 79 > cap 64"),
+    ],
+    ids=["E3_cap_1_in_lie_closure", "x80_in_flag"],
+)
+def test_cli_exit_code_degree_cap(tmp_path, capsys, monkeypatch, text, max_degree, message):
+    if max_degree is not None:
+        monkeypatch.setenv("ARS_MAX_DEGREE", max_degree)
+    src = _write(tmp_path, "cap.frame", text)
+    out = tmp_path / "diag.json"
+    assert main(["analyze", src, "--json", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert err == f"degree cap exceeded: {message}\n"
+    payload = json.loads(out.read_text())
+    assert payload["error"] == {"kind": "degree_cap_exceeded", "message": message}
+    assert payload["partial"]["vars"]
 
 
 def test_cli_exit_code_not_privileged(tmp_path):
