@@ -227,9 +227,17 @@ def _series(L: LieBasis, derived: bool) -> int | None:
 
 
 def _next_brackets(L: LieBasis, current: list[dict], derived: bool) -> Iterable[dict]:
-    """Brackets spanning the series term after the one spanned by ``current``."""
+    """Brackets spanning the series term after the one spanned by ``current``.
+
+    A derived pair (u, v) is bracketed only when v has a coordinate that the
+    table rows of u reach; otherwise every term of [u, v] is zero.
+    """
     if derived:
-        return (L._bracket(u, v) for p, u in enumerate(current) for v in current[p + 1:])
+        reach = [set().union(*(L._table[i] for i in u)) for u in current]
+        return (
+            L._bracket(u, v)
+            for p, u in enumerate(current) for v in current[p + 1:] if not reach[p].isdisjoint(v)
+        )
     return (w for v in current for w in L.ad(v))
 
 

@@ -5,6 +5,10 @@ columns are the frame fields.  Z splits into strata Z_r by corank; for a
 generic frame Z_r has codimension r^2, and the pure-arithmetic consequences
 of that picture (largest corank, reachable dimensions, feasibility windows
 for tangency defects) are tabulated by :func:`genericity_codims`.
+
+:func:`stratify_samples` reads corank 0 off the determinant: a sample where
+it is nonzero has full rank, and the exact rank is computed only on its
+zero set.
 """
 
 from __future__ import annotations
@@ -228,31 +232,34 @@ def stratify_samples(
 ) -> tuple[StratumReport, ...]:
     """Corank histogram over sampled points, plus on-locus line sections.
 
-    Random points almost never land on the locus, so when line_search is on
-    the determinant is restricted to random rational lines and its rational
-    roots give exact corank >= 1 samples; irrational roots are bisected in
-    floating point and flagged approximate.  Deterministic for a fixed seed.
+    A sample has corank 0 exactly where the determinant is nonzero, so the
+    corank is read off the determinant there and the rank is computed only
+    on its zero set.  Random points almost never land on the locus, so when
+    line_search is on the determinant is restricted to random rational lines
+    and its rational roots give exact corank >= 1 samples; irrational roots
+    are bisected in floating point and flagged approximate.  Deterministic
+    for a fixed seed.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     n = frame.dim
     rng = random.Random(seed)
     draw = (lambda: sampler(rng)) if sampler is not None else (lambda: default_sampler(rng, n))
+    detp = frame_determinant(frame)
 
     exact_hits: dict[int, list[StratumHit]] = {}
     sample_count = 0
     for _ in range(budget):
         pt = as_point(draw(), n)
         sample_count += 1
-        r = corank_at(frame, pt)
-        if r >= 1:
-            exact_hits.setdefault(r, []).append(StratumHit(pt, True))
+        if detp._evaluate(pt) == 0:
+            # an n x n matrix has full rank exactly where its determinant is nonzero
+            exact_hits.setdefault(corank_at(frame, pt), []).append(StratumHit(pt, True))
 
     random_hit_coranks = set(exact_hits)
 
     line_hit = False
     if line_search:
-        detp = frame_determinant(frame)
         attempts = max(4, min(24, budget // 10))
         for _ in range(attempts):
             base = as_point(draw(), n)

@@ -237,6 +237,26 @@ def naive_flag_dims(fields: list[VectorField], point, depth: int) -> list[int]:
     return dims
 
 
+def naive_sample_coranks(frame, budget: int, seed: int, sampler=None) -> dict:
+    """Corank > 0 samples by stratum, ranking every sample densely.
+
+    Draws the points that ``stratify_samples`` draws before its line search:
+    ``budget`` calls of ``sampler`` (``default_sampler`` when None) on
+    ``random.Random(seed)``.  Returns {r: [points of corank r]}, in draw order.
+    """
+    from ars.locus import default_sampler
+
+    rng = random.Random(seed)
+    n = frame.dim
+    hits: dict = {}
+    for _ in range(budget):
+        pt = tuple(Fraction(x) for x in (sampler(rng) if sampler is not None else default_sampler(rng, n)))
+        r = n - dense_rank([naive_eval(f, pt) for f in frame.fields])
+        if r:
+            hits.setdefault(r, []).append(pt)
+    return hits
+
+
 # ---------------------------------------------------------------------------
 # determinant oracles
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ars.locus
 from ars.locus import (
     DegenerateZ1,
     NotOnZ1,
@@ -22,7 +23,7 @@ from ars.locus import (
 )
 from ars.symcore import Frame, Polynomial, VectorField
 
-from oracles import frame_cofactor_det, random_rational_point
+from oracles import frame_cofactor_det, naive_sample_coranks, random_rational_point
 
 DATA = Path(__file__).parent / "data"
 
@@ -170,17 +171,28 @@ def test_z1_messages_print_points_as_rationals(tangential_frame):
 # --- sampling -----------------------------------------------------------------
 
 
+def e1_slice(rng):
+    # the plane x = 0, inside E1's locus
+    return (
+        Fraction(0),
+        Fraction(rng.randint(-20, 20), rng.randint(1, 5)),
+        Fraction(rng.randint(-20, 20), rng.randint(1, 5)),
+    )
+
+
+def e3_slice(rng):
+    # x = y = w = 0, inside E3's locus
+    return (
+        Fraction(0),
+        Fraction(0),
+        Fraction(rng.randint(-9, 9)),
+        Fraction(0),
+        Fraction(rng.randint(-9, 9)),
+    )
+
+
 def test_stratify_slice_sampler_sees_locus(e1_frame):
-    rng_independent = random.Random(0)
-
-    def slice_sampler(rng):
-        return (
-            Fraction(0),
-            Fraction(rng.randint(-20, 20), rng.randint(1, 5)),
-            Fraction(rng.randint(-20, 20), rng.randint(1, 5)),
-        )
-
-    reports = stratify_samples(e1_frame, budget=10000, seed=3, sampler=slice_sampler, line_search=False)
+    reports = stratify_samples(e1_frame, budget=10000, seed=3, sampler=e1_slice, line_search=False)
     hits = {r.r: r for r in reports}
     assert sum(len(r.hits) for r in reports) == 10000
     assert all(h.exact for r in reports for h in r.hits)
@@ -213,18 +225,114 @@ def test_stratify_line_search_lands_on_locus(e1_frame):
 
 
 def test_stratify_e3_slice(e3_frame):
-    def slice_sampler(rng):
-        return (
-            Fraction(0),
-            Fraction(0),
-            Fraction(rng.randint(-9, 9)),
-            Fraction(0),
-            Fraction(rng.randint(-9, 9)),
-        )
-
-    reports = stratify_samples(e3_frame, budget=50, seed=1, sampler=slice_sampler, line_search=False)
+    reports = stratify_samples(e3_frame, budget=50, seed=1, sampler=e3_slice, line_search=False)
     assert all(h.exact for r in reports for h in r.hits)
     assert sum(len(r.hits) for r in reports) == 50  # det vanishes on the slice
+
+
+# --- the sampler against a dense rank of every sample -----------------------------
+
+
+def sampled_coranks(frame, budget, seed, sampler=None):
+    """{r: hit points} of the random samples, checking every report's sample count."""
+    reports = stratify_samples(frame, budget, seed=seed, sampler=sampler, line_search=False)
+    assert all(rep.sample_count == budget for rep in reports)
+    assert all(h.exact for rep in reports for h in rep.hits)
+    return {rep.r: [h.point for h in rep.hits] for rep in reports if rep.hits}
+
+
+def count_corank_calls(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counting(frame, point):
+        calls[0] += 1
+        return corank_at(frame, point)
+
+    monkeypatch.setattr(ars.locus, "corank_at", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampler_matches_dense_rank_oracle(e1_frame, e2_frame, e3_frame, seed):
+    for frame in (e1_frame, e2_frame, e3_frame):
+        assert sampled_coranks(frame, 200, seed) == naive_sample_coranks(frame, 200, seed)
+
+
+def test_sampler_on_slices_matches_oracle(e1_frame, e3_frame):
+    for frame, sampler in ((e1_frame, e1_slice), (e3_frame, e3_slice)):
+        expected = naive_sample_coranks(frame, 300, 4, sampler)
+        assert sum(map(len, expected.values())) == 300
+        assert sampled_coranks(frame, 300, 4, sampler) == expected
+
+
+def test_sampler_ranks_everywhere_when_determinant_vanishes(monkeypatch):
+    # d/dx, 2 d/dx: the determinant is the zero polynomial, so no sample is
+    # decided by it and every one is ranked
+    frame = Frame(("x", "y"), [VectorField.coordinate(2, 0), only_component(2, 0, Polynomial.constant(2, 2))])
+    assert frame_determinant(frame).is_zero
+    calls = count_corank_calls(monkeypatch)
+    got = sampled_coranks(frame, 120, 5)
+    assert calls[0] == 120
+    assert got == naive_sample_coranks(frame, 120, 5)
+    assert list(got) == [1] and len(got[1]) == 120
+
+
+def test_sampler_ranks_nowhere_when_determinant_is_constant(monkeypatch):
+    # d/dx, x d/dx + d/dy: the determinant is 1
+    frame = Frame(("x", "y"), [VectorField.coordinate(2, 0), VectorField([var(2, 0), Polynomial.constant(2, 1)])])
+    assert frame_determinant(frame) == Polynomial.constant(2, 1)
+    calls = count_corank_calls(monkeypatch)
+    assert sampled_coranks(frame, 120, 5) == naive_sample_coranks(frame, 120, 5) == {}
+    assert calls[0] == 0
+
+
+def grid_sampler(dim):
+    # a coarse grid, so that small frames meet their locus often
+    return lambda rng: tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim))
+
+
+@st.composite
+def small_frame(draw):
+    """n fields on R^n, n = 1..3; a component is zero or, three times in four, one low-degree term."""
+    dim = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(0, 2)] * dim)).filter(lambda e: sum(e) <= 2)
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    fields = []
+    for _ in range(dim):
+        comps = [Polynomial(dim, {draw(exps): draw(coeff)}) if draw(st.integers(0, 3)) else Polynomial.zero(dim)
+                 for _ in range(dim)]
+        fields.append(VectorField(comps))
+    return Frame([f"v{i}" for i in range(dim)], fields)
+
+
+# line search stays off: on random frames _rational_roots can take very long
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_frame(), st.booleans(), st.integers(0, 2**16))
+def test_sampler_matches_oracle_on_small_frames(frame, on_grid, seed):
+    sampler = grid_sampler(frame.dim) if on_grid else None
+    assert sampled_coranks(frame, 40, seed, sampler) == naive_sample_coranks(frame, 40, seed, sampler)
+
+
+@pytest.mark.parametrize(
+    "name, line_search, calls, summary",
+    [
+        ("e1_frame", True, 48, [(1, 48, 238, 0)]),
+        ("e2_frame", True, 43, [(1, 43, 236, 0), (2, 0, 236, None)]),
+        ("e3_frame", True, 61, [(1, 61, 254, 0), (2, 1, 254, None)]),
+        ("e1_frame", False, 10, [(1, 10, 200, 0)]),
+        ("e2_frame", False, 7, [(1, 7, 200, 0), (2, 0, 200, None)]),
+        ("e3_frame", False, 8, [(1, 8, 200, 0), (2, 0, 200, None)]),
+    ],
+)
+def test_sampler_ranks_only_on_the_zero_set(request, monkeypatch, name, line_search, calls, summary):
+    # corank 0 is read off the determinant, so only the random samples on
+    # its zero set and the rational line roots are ranked; ranking every
+    # random sample would make 190 to 193 more calls
+    frame = request.getfixturevalue(name)
+    counter = count_corank_calls(monkeypatch)
+    reports = stratify_samples(frame, 200, seed=0, line_search=line_search)
+    assert counter[0] == calls
+    assert [(r.r, len(r.hits), r.sample_count, r.estimated_codim) for r in reports] == summary
 
 
 @st.composite

@@ -173,6 +173,37 @@ def test_bracket_counts_by_caller(text, expected, monkeypatch):
     assert dict(counts) == expected
 
 
+def _chain_text(n: int) -> str:
+    # X1 = d/dx1, Xi = x(i-1) d/dxi
+    names = [f"x{i}" for i in range(1, n + 1)]
+    fields = ["d/dx1"] + [f"x{i - 1} d/dx{i}" for i in range(2, n + 1)]
+    return "vars " + " ".join(names) + "\n" + "".join(f"field X{i + 1} = {f}\n" for i, f in enumerate(fields))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [(E3_TEXT, 14), (_grushin_pow_text(9), 0), (_chain_text(7), 20)],
+    ids=["E3", "grushin_pow(9)", "chain(7)"],
+)
+def test_solvability_brackets_skip_by_support(text, expected, monkeypatch):
+    # is_solvable brackets a pair of derived rows only when the table rows
+    # of the first reach a coordinate of the second; every pair would be
+    # 36, 630 and 255 brackets
+    counts: Counter = Counter()
+    bracket = ars.liealg.LieBasis._bracket
+
+    def counting(self, u, v):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "is_solvable":
+            frame = frame.f_back
+        counts["is_solvable" if frame is not None else "other"] += 1
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(ars.liealg.LieBasis, "_bracket", counting)
+    analyze(parse_frame(text))
+    assert counts["is_solvable"] == expected
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
