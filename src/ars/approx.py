@@ -1,12 +1,12 @@
 """Nilpotent/solvable approximation of a frame at its base point.
 
-Given privileged weights, each field is cut down to its homogeneous part of
-order -1 (its nilpotent approximation).  Fields are then reordered and
-adjusted by constant linear combinations so that the first k have
-independent values at the origin, the next m-k vanish at the origin but are
-independent as fields, and the remainder are replaced by their order-0
-homogeneous parts.  Every linear combination applied along the way is
-recorded in an invertible matrix over Q.
+The procedure chooses a constant invertible matrix over Q, the transform,
+and reads the approximating fields off it: field i is the homogeneous part
+of order -1 (its nilpotent approximation), or of order 0, of
+sum_j transform[i][j] X_j.  The rows are chosen so that the first k fields
+have independent values at the origin, the next m-k vanish at the origin but
+are independent as fields, and the remainder are the order-0 parts of the
+fields whose order -1 parts were dependent.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .grading import Weights, check_weights, homogeneous_component, homogeneous_orders
 from .linalg import SpanBasis, det, solve_combination
-from .symcore import ArsError, Frame, VectorField
+from .symcore import ArsError, Frame, VectorField, linear_combination
 
 
 class DegenerateApproximation(ArsError):
@@ -87,85 +87,62 @@ def check_triangular_complete(X: VectorField, weights: Sequence[int]) -> bool:
 
 
 def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSet:
-    """Run the approximation procedure on a frame centered at the origin.
+    """Choose the transform for a frame centered at the origin; read the fields off it.
 
-    The caller is expected to have verified the rank condition and the
-    privileged-ness of the coordinates for these weights.  A linearly
-    dependent outcome is reported through the ``degenerate`` flag rather
-    than an exception, since the set may still be inspected.
+    Step 1 greedily selects the fields whose order -1 parts are independent
+    at the origin.  Step 2 gives every other field a transform row: its own
+    column, minus the selected fields that cancel its order -1 value at the
+    origin.  Its order -1 part is the row applied to the order -1 parts,
+    since truncation is linear, and it is kept when it is independent of the
+    fields kept so far.  Step 3 replaces each field not kept by the order-0
+    part of its row applied to the originals.  The caller is expected to
+    have verified the rank condition and the privileged-ness of the
+    coordinates for these weights.  A linearly dependent outcome is reported
+    through the ``degenerate`` flag rather than an exception, since the set
+    may still be inspected.
     """
     w = check_weights(weights, frame.dim)
     n = frame.dim
     if any(c != 0 for c in frame.base_point):
         raise ValueError("build_approximation expects a frame centered at the origin; translate first")
-    origin = frame.base_point
 
-    originals = list(frame.fields)
-    hats = [nilpotent_approx(X, w) for X in originals]
+    hats = [nilpotent_approx(X, w) for X in frame.fields]
+    at_origin = [h.evaluate(frame.base_point) for h in hats]
 
     # step 1: greedily pick fields whose order -1 parts are independent at 0
     values = SpanBasis()
-    selected: list[int] = []
-    for i, h in enumerate(hats):
-        vec = {j: c for j, c in enumerate(h.evaluate(origin)) if c != 0}
-        if vec and values.insert(vec):
-            selected.append(i)
-    k = len(selected)
-    rest = [i for i in range(n) if i not in selected]
-    order = selected + rest
+    selected = [i for i, v in enumerate(at_origin) if values.insert({j: c for j, c in enumerate(v) if c})]
+    sel_values = [at_origin[i] for i in selected]
 
-    # transform rows track the current field as a combination of originals
-    rows: list[list[Fraction]] = []
-    current: list[VectorField] = []
-    current_hats: list[VectorField] = []
-    for i in order:
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        rows.append(row)
-        current.append(originals[i])
-        current_hats.append(hats[i])
-
-    # step 2: cancel values at the origin using the selected fields only
-    sel_values = [hats[i].evaluate(origin) for i in selected]
-    for pos in range(k, n):
-        val = current_hats[pos].evaluate(origin)
-        if any(c != 0 for c in val):
-            coeffs = solve_combination(sel_values, val)
-            if coeffs is None:
-                raise ArsError("selected fields do not span a remaining value at the origin")
-            for a, c in enumerate(coeffs):
-                if c != 0:
-                    current[pos] = current[pos] - c * current[a]
-                    current_hats[pos] = current_hats[pos] - c * current_hats[a]
-                    rows[pos] = [x - c * y for x, y in zip(rows[pos], rows[a])]
-
-    # step 2 continued: keep a maximal set of field-independent order -1 parts
+    # step 2: row i of the transform combines the originals into field i
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    hat_fields = [hats[i] for i in selected]
     span = SpanBasis()
-    for pos in range(k):
-        span.insert(current_hats[pos].terms)
+    for h in hat_fields:
+        span.insert(h.terms)
     kept: list[int] = []
     dropped: list[int] = []
-    for pos in range(k, n):
-        h = current_hats[pos]
-        if not h.is_zero and span.insert(h.terms):
-            kept.append(pos)
+    for i in (i for i in range(n) if i not in selected):
+        if any(at_origin[i]):
+            coeffs = solve_combination(sel_values, at_origin[i])
+            if coeffs is None:
+                raise ArsError("selected fields do not span a remaining value at the origin")
+            for s, c in zip(selected, coeffs):
+                rows[i][s] -= c
+        h = linear_combination(zip(rows[i], hats), n)
+        if span.insert(h.terms):
+            kept.append(i)
+            hat_fields.append(h)
         else:
-            dropped.append(pos)
-    m = k + len(kept)
+            dropped.append(i)
 
-    final_positions = list(range(k)) + kept + dropped
-    hat_fields = [current_hats[pos] for pos in range(k)] + [current_hats[pos] for pos in kept]
-    tilde_fields = [order_zero_component(current[pos], w) for pos in dropped]
-    transform = tuple(tuple(rows[pos]) for pos in final_positions)
-    source_order = tuple(order[pos] for pos in final_positions)
+    # step 3: the fields not kept are replaced by their order-0 parts
+    tilde_fields = [order_zero_component(linear_combination(zip(rows[i], frame.fields), n), w) for i in dropped]
+    source_order = tuple(selected + kept + dropped)
+    transform = tuple(tuple(rows[i]) for i in source_order)
 
-    outputs = hat_fields + tilde_fields
-    out_span = SpanBasis()
-    degenerate = False
-    for f in outputs:
-        if f.is_zero or not out_span.insert(f.terms):
-            degenerate = True
-            break
+    # span holds the hat fields, which are independent by construction
+    degenerate = not all(span.insert(t.terms) for t in tilde_fields)
 
     if det(transform) == 0:
         raise ArsError("internal error: transform matrix is singular")
@@ -173,8 +150,8 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
     return ApproximationSet(
         hat_fields=tuple(hat_fields),
         tilde_fields=tuple(tilde_fields),
-        k=k,
-        m=m,
+        k=len(selected),
+        m=len(hat_fields),
         transform=transform,
         degenerate=degenerate,
         weights=w,

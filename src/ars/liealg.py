@@ -30,6 +30,7 @@ from .symcore import (
     as_point,
     commute_by_support,
     lie_bracket,
+    linear_combination,
     max_degree_cap,
 )
 
@@ -198,7 +199,7 @@ def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
             todo.extend(L.ad(v))
     span = SpanBasis()
     for row in coords.rows():
-        span.insert(_accumulate((key, a * c) for k, a in row.items() for key, c in L.basis[k].terms.items()))
+        span.insert(linear_combination(((c, L.basis[k]) for k, c in row.items()), L.dim).terms)
     return LieBasis.from_span(L.dim, span)
 
 
@@ -344,8 +345,6 @@ def graded_frame(G: LieBasis, weights: Sequence[int]) -> tuple[VectorField, ...]
     for b in G.basis:
         for s in homogeneous_orders(b, w):
             h = homogeneous_component(b, s, w)
-            if h.is_zero:
-                continue
             if not G.contains(h):
                 raise GradedFrameUnavailable(
                     "the algebra is not spanned by homogeneous elements"
@@ -356,26 +355,14 @@ def graded_frame(G: LieBasis, weights: Sequence[int]) -> tuple[VectorField, ...]
     for level in sorted(set(w)):
         coords = [j for j in range(n) if w[j] == level]
         candidates = by_order.get(-level, [])
-        # deduplicate while keeping deterministic order
-        span = SpanBasis()
-        pool: list[VectorField] = []
-        for h in candidates:
-            if span.insert(h.terms):
-                pool.append(h)
-        at_origin = [h.evaluate(origin) for h in pool]
-        values = [[v[j] for j in coords] for v in at_origin]
+        values = [[v[j] for j in coords] for v in (h.evaluate(origin) for h in candidates)]
         for idx, j in enumerate(coords):
-            target = [Fraction(1 if jj == idx else 0) for jj in range(len(coords))]
-            coeffs = None
-            if pool:
-                coeffs = solve_combination(values, target)
+            # a candidate dependent on earlier ones is dependent at the origin
+            # too, so the greedy solve gives it coefficient zero
+            coeffs = solve_combination(values, [Fraction(int(i == idx)) for i in range(len(coords))])
             if coeffs is None:
                 raise GradedFrameUnavailable(
                     f"no homogeneous element of order {-level} hits coordinate {j} at the origin"
                 )
-            Y = VectorField.zero(n)
-            for c, h in zip(coeffs, pool):
-                if c != 0:
-                    Y = Y + c * h
-            result[j] = Y
+            result[j] = linear_combination(zip(coeffs, candidates), n)
     return tuple(result)  # type: ignore[arg-type]

@@ -127,21 +127,39 @@ def default_sampler(rng: random.Random, dim: int) -> Point:
     return tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(dim))
 
 
+def _divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of f by g over Q; coefficients lowest degree first, g[-1] nonzero."""
+    rem, quot = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    for s in reversed(range(len(quot))):
+        c = quot[s] = rem[s + len(g) - 1] / g[-1]
+        for i, b in enumerate(g):
+            rem[s + i] -= c * b
+    rem = rem[: len(g) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a univariate polynomial with Fraction coefficients."""
+    """All rational roots of a univariate polynomial with Fraction coefficients.
+
+    The candidates are tested on the square-free part f / gcd(f, f'), which
+    has the same roots, each once: a power such as (b + d t)^40 is reduced
+    to its base before the divisors of its constant term are enumerated.
+    """
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         return []
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    if len(coeffs) > 2:
+        gcd, rest = coeffs, [k * c for k, c in enumerate(coeffs) if k]
+        while rest:
+            gcd, rest = rest, _divmod(gcd, rest)[1]
+        coeffs = _divmod(coeffs, gcd)[0]
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
     # strip zero roots
     roots = []
     shift = 0

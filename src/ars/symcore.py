@@ -539,6 +539,11 @@ def commute_by_support(X: VectorField, Y: VectorField) -> bool:
     return not (dx & vy or dy & vx)
 
 
+def linear_combination(pairs: Iterable[tuple[Fraction, VectorField]], dim: int) -> VectorField:
+    """The field sum c X over the pairs (c, X) on R^dim, summed in one pass; zero c are skipped."""
+    return VectorField.from_terms(dim, _accumulate((key, c * a) for c, X in pairs if c for key, a in X.terms.items()))
+
+
 def vf_eval(X: VectorField, point: Sequence) -> Point:
     """Exact evaluation of X at a rational point."""
     if len(point) != X.dim:

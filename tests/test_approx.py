@@ -13,7 +13,7 @@ from ars.approx import (
 )
 from ars.grading import growth_vector, nonholonomic_order_vf
 from ars.linalg import det
-from ars.symcore import Frame, Polynomial, VectorField, frame_rank_at
+from ars.symcore import ArsError, Frame, Polynomial, VectorField, frame_rank_at
 
 from oracles import random_rational_point
 
@@ -118,37 +118,73 @@ def test_every_output_is_homogeneous(e1_frame, e2_frame, e3_frame):
             assert check_triangular_complete(f, w)
 
 
-def test_transform_reproduces_outputs(e2_frame, affine_frame):
-    for frame in (e2_frame, affine_frame):
+def random_frame(rng, dim):
+    """n fields on R^n, each a few terms of degree 0 to 2 with random directions."""
+    fields = []
+    for _ in range(dim):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * dim
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                e[rng.randrange(dim)] += 1
+            terms[(rng.randrange(dim), tuple(e))] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        fields.append(VectorField.from_terms(dim, terms))
+    return Frame([f"v{i}" for i in range(dim)], fields)
+
+
+@pytest.fixture(scope="module")
+def approximated_frames(e1_frame, e2_frame, e3_frame, affine_frame, degenerate_frame):
+    """(frame, weights, approximation) for the fixtures and the random frames whose flag reaches full rank."""
+    out = []
+    for frame in (e1_frame, e2_frame, e3_frame, affine_frame, degenerate_frame):
         _, w = growth_vector(frame)
-        A = build_approximation(frame, w)
+        out.append((frame, w, build_approximation(frame, w)))
+    rng = random.Random(3)
+    for _ in range(80):
+        frame = random_frame(rng, rng.randint(2, 4))
+        try:
+            # a rank-deficient random frame would otherwise walk to depth 2 n deg
+            _, w = growth_vector(frame, max_depth=4)
+        except ArsError:
+            continue
+        out.append((frame, w, build_approximation(frame, w)))
+    # the sweep reaches every branch: step-2 adjustments, dropped and degenerate sets
+    assert sum(any(A.adjusted_flags()) for _, _, A in out) >= 5
+    assert sum(bool(A.tilde_fields) for _, _, A in out) >= 10
+    assert sum(A.degenerate for _, _, A in out) >= 5
+    return out
+
+
+def transformed(frame, A):
+    """sum_j transform[i][j] * original_j for each row i, by repeated + and *."""
+    out = []
+    for row in A.transform:
+        combo = VectorField.zero(frame.dim)
+        for c, orig in zip(row, frame.fields):
+            if c != 0:
+                combo = combo + c * orig
+        out.append(combo)
+    return out
+
+
+def test_transform_reproduces_outputs(approximated_frames):
+    for frame, w, A in approximated_frames:
         assert det(A.transform) != 0
-        for i, row in enumerate(A.transform):
-            combo = VectorField.zero(frame.dim)
-            for c, orig in zip(row, frame.fields):
-                if c != 0:
-                    combo = combo + c * orig
+        assert len(A.fields) == frame.dim
+        for i, combo in enumerate(transformed(frame, A)):
             if i < A.m:
                 assert nilpotent_approx(combo, w) == A.fields[i]
             else:
                 assert order_zero_component(combo, w) == A.fields[i]
 
 
-def test_transform_preserves_pointwise_span(affine_frame, e2_frame):
+def test_transform_preserves_pointwise_span(approximated_frames):
     rng = random.Random(11)
-    for frame in (affine_frame, e2_frame):
-        _, w = growth_vector(frame)
-        A = build_approximation(frame, w)
-        transformed = []
-        for row in A.transform:
-            combo = VectorField.zero(frame.dim)
-            for c, orig in zip(row, frame.fields):
-                if c != 0:
-                    combo = combo + c * orig
-            transformed.append(combo)
+    for frame, _, A in approximated_frames:
+        fields = transformed(frame, A)
         for _ in range(10):
             p = random_rational_point(rng, frame.dim)
-            assert frame_rank_at(transformed, p) == frame_rank_at(list(frame.fields), p)
+            assert frame_rank_at(fields, p) == frame_rank_at(list(frame.fields), p)
 
 
 def test_idempotence_on_approximated_frames(e1_frame, e3_frame):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ars.approx import build_approximation
-from ars.grading import growth_vector, nonholonomic_order_vf
+from ars.grading import growth_vector, homogeneous_orders, nonholonomic_order_vf
 from ars.liealg import (
     DegreeBoundExceeded,
     GradedFrameUnavailable,
@@ -490,9 +490,9 @@ def _random_homogeneous_field(rng, dim, weights, order):
     return VectorField(comps)
 
 
-def test_random_homogeneous_ideals_are_nilpotent_and_invariant():
+def _random_homogeneous_ideals():
+    """(weights, L, G) for ideals of order -1 generators in random homogeneous algebras."""
     rng = random.Random(2024)
-    checked = 0
     for _ in range(60):
         dim = rng.randint(2, 3)
         weights = tuple(rng.randint(1, 2) for _ in range(dim))
@@ -506,7 +506,12 @@ def test_random_homogeneous_ideals_are_nilpotent_and_invariant():
         if not minus_one:
             continue
         L = lie_closure([f for _, f in gens], max_degree=24)
-        G = ideal_closure(L, minus_one)
+        yield weights, L, ideal_closure(L, minus_one)
+
+
+def test_random_homogeneous_ideals_are_nilpotent_and_invariant():
+    checked = 0
+    for weights, L, G in _random_homogeneous_ideals():
         step = nilpotent_step(G)
         assert step is not None and step <= max(weights)
         for b in L.basis:
@@ -514,6 +519,45 @@ def test_random_homogeneous_ideals_are_nilpotent_and_invariant():
                 assert G.contains(lie_bracket(b, g))
         checked += 1
     assert checked >= 20
+
+
+def _graded_frame_cases(e3_frame):
+    _, w = growth_vector(e3_frame)
+    A = build_approximation(e3_frame, w)
+    L = lie_closure(A.fields)
+    yield w, ideal_closure(L, A.hat_fields[: A.k])
+    for fields in [_grushin_pow_fields(n) for n in (5, 6, 7)] + [_chain_fields(n) for n in (5, 6)]:
+        # X_i has order -1 exactly when x_i has weight i
+        yield tuple(range(1, len(fields) + 1)), ideal_closure(lie_closure(fields), fields[:1])
+    for weights, _, G in _random_homogeneous_ideals():
+        yield weights, G
+
+
+def test_graded_frame_is_homogeneous_unit_frame_in_g(e3_frame):
+    built = 0
+    for w, G in _graded_frame_cases(e3_frame):
+        n = G.dim
+        origin = (0,) * n
+        if not rank_condition_at_zero(G, origin):
+            with pytest.raises(GradedFrameUnavailable):
+                graded_frame(G, w)
+            continue
+        Y = graded_frame(G, w)
+        for j, field in enumerate(Y):
+            assert G.contains(field)
+            assert homogeneous_orders(field, w) == [-w[j]]
+            # order -w_j leaves only the level's coordinates nonzero at 0
+            assert field.evaluate(origin) == tuple(Fraction(int(i == j)) for i in range(n))
+        built += 1
+    assert built >= 15
+
+
+def test_graded_frame_e3(e3_frame):
+    _, w = growth_vector(e3_frame)
+    A = build_approximation(e3_frame, w)
+    G = ideal_closure(lie_closure(A.fields), A.hat_fields[: A.k])
+    Y = graded_frame(G, w)
+    assert [f.format(e3_frame.var_names) for f in Y] == ["d/dx", "d/dy + x d/dz", "d/dz", "d/dw", "d/dt"]
 
 
 def test_degree_cap_env_variable(monkeypatch):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,8 @@ from ars.locus import (
     stratify_samples,
     tangency_check,
 )
+from ars.parser import parse_frame
+from ars.pipeline import AnalyzeOptions, analyze
 from ars.symcore import Frame, Polynomial, VectorField
 
 from oracles import frame_cofactor_det, naive_sample_coranks, random_rational_point
@@ -356,6 +360,66 @@ def polys_with_known_roots(draw):
 def test_rational_roots_recovers_known_roots(case):
     coeffs, expected = case
     assert _rational_roots(list(coeffs)) == expected
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError after ``seconds`` of wall time, so a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def expand(*factors):
+    """Low-first coefficients of the product of factor ** power over (factor, power) pairs."""
+    out = [Fraction(1)]
+    for factor, power in factors:
+        for _ in range(power):
+            prod = [Fraction(0)] * (len(out) + len(factor) - 1)
+            for i, a in enumerate(out):
+                for j, b in enumerate(factor):
+                    prod[i + j] += a * b
+            out = prod
+    return out
+
+
+@pytest.mark.parametrize(
+    "factors, roots",
+    [
+        ([([2, 3], 40)], [Fraction(-2, 3)]),
+        # like a line restriction of x^40: 17^40 has only 41 divisors, but
+        # trial division would run up to 17^20
+        ([([17, 15], 40)], [Fraction(-17, 15)]),
+        ([([-6, 5], 3), ([-17, 12], 1)], [Fraction(6, 5), Fraction(17, 12)]),
+        ([([1, 1, 1], 2), ([-7, 2], 5), ([4, 1], 1)], [Fraction(-4), Fraction(7, 2)]),
+        ([([-2, 0, 1], 3), ([0, 1], 4), ([5, -3], 2)], [Fraction(0), Fraction(5, 3)]),
+    ],
+)
+def test_rational_roots_of_repeated_factors(factors, roots):
+    # the roots are read off the square-free part, whose constant term is small
+    coeffs = expand(*((list(map(Fraction, f)), k) for f, k in factors))
+    with time_limit(5):
+        assert _rational_roots(coeffs) == roots
+
+
+def test_high_power_stratification_finishes():
+    doc = parse_frame("vars x y\nfield X1 = d/dx\nfield X2 = x^40 d/dy\n")
+    with time_limit(20):
+        report = analyze(doc, AnalyzeOptions(stratify=True, samples=50)).to_json_dict()
+    # the approximate hits are float noise around the 40-fold root x = 0, so
+    # their number is not pinned
+    [stratum] = report["stratification"]
+    assert (stratum["r"], stratum["predicted_codim"], stratum["estimated_codim"]) == (1, 1, 0)
+    assert 1 <= stratum["exact_hits"] <= stratum["hits"] <= stratum["sample_count"]
+    assert stratum["sample_count"] >= 50
 
 
 def test_stratify_deterministic(e1_frame):

@@ -13,6 +13,7 @@ from ars.symcore import (
     commute_by_support,
     frame_rank_at,
     lie_bracket,
+    linear_combination,
     vf_apply,
     vf_eval,
 )
@@ -188,6 +189,27 @@ def test_apply_leibniz_rule(data):
 def test_apply_matches_naive_oracle(data):
     X, f, _ = data
     assert vf_apply(X, f) == dict_to_poly(X.dim, naive_apply(X, poly_to_dict(f)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(field_triples(), st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=3, max_size=3))
+def test_linear_combination_matches_repeated_sum(fields, cs):
+    expected = VectorField.zero(fields[0].dim)
+    for c, X in zip(cs, fields):
+        expected = expected + c * X
+    assert linear_combination(zip(cs, fields), fields[0].dim) == expected
+
+
+def test_linear_combination_cancels_to_zero():
+    x, y = var(2, 0), var(2, 1)
+    X = VectorField([x, y * y])
+    Y = VectorField([P(2), Fraction(1, 2) * y * y])
+    # the y^2 d/dy terms of 2 Y - X cancel exactly, and a zero coefficient adds nothing
+    combo = linear_combination([(Fraction(2), Y), (Fraction(-1), X), (Fraction(0), coord(2, 0))], 2)
+    assert combo == VectorField([-x, P(2)])
+    assert linear_combination([(Fraction(1), combo), (Fraction(1), VectorField([x, P(2)]))], 2).is_zero
+    assert linear_combination([(Fraction(1), X), (Fraction(-1), X)], 2).terms == {}
+    assert linear_combination([], 2) == VectorField.zero(2)
 
 
 @st.composite
