@@ -1,17 +1,14 @@
 """Lie algebras of polynomial vector fields: closure, ideals, classification.
 
-A :class:`LieBasis` stores a finite-dimensional algebra as a canonical
-reduced basis over the monomial-coefficient vector space together with its
-sparse structure constants.  Fields are bracketed only to find the algebra,
-by the walk :func:`ars.grading.bracket_rounds`, and to tabulate it, by the
-one table builder :meth:`LieBasis.from_span`, which serves both L and its
-ideal G.  The ideal closure, the series and the derivation check run on
-coordinate vectors with the table's nonzero entries, and the first term
-[L, L] of both series is the span of those entries.  A pair of fields is
-bracketed only when the support test allows a nonzero result: if neither
-field has a direction that the other's coefficients depend on, the bracket
-is zero and is never formed (:func:`ars.symcore.commute_by_support`).
-Spans, memberships and series computations are all exact.
+A :class:`LieBasis` is a canonical reduced basis of a finite-dimensional
+algebra with its sparse structure constants.  Fields are bracketed only by
+the walk :func:`ars.grading.bracket_rounds`, which finds L, and by
+:meth:`LieBasis.from_span`, which tabulates L and its ideal G, never for a
+pair that commutes by support (:func:`ars.symcore.commute_by_support`).
+All else runs exactly on sparse coordinate vectors {basis index: c} with
+the table's nonzero entries.  L is graded with orders -1 and 0
+(:meth:`LieBasis.orders`), so L_{<0} is a nilpotent ideal with quotient L_0
+and L is solvable exactly when L_0 is: the derived series runs on L_0 only.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .approx import ApproximationSet, DegenerateApproximation
-from .grading import DegreeBoundExceeded, bracket_rounds, check_weights, homogeneous_component, homogeneous_orders
+from .grading import DegreeBoundExceeded, bracket_rounds, check_weights, homogeneous_orders
 from .linalg import SpanBasis, rank, solve_combination
 from .symcore import (
     ArsError,
@@ -49,7 +46,6 @@ class LieBasis:
     ``basis`` is the canonical reduced basis of the span.  The table lists
     only the nonzero brackets: ``_table[i][j] = {k: c}`` with every c nonzero
     and [b_i, b_j] = sum_k c b_k; a missing j means [b_i, b_j] = 0.
-    ``structure`` is the dense view c[i][j][k], built on each access.
     Elements are also handled as coordinate vectors: sparse dicts from basis
     index to coefficient, bracketed with the table alone; :meth:`ad` reads
     the brackets of one vector with the whole basis from the nonzero entries.
@@ -76,23 +72,13 @@ class LieBasis:
             for j in range(i + 1, len(basis)):
                 if commute_by_support(X, basis[j]):
                     continue
-                coords = span.coordinates(lie_bracket(X, basis[j]).terms)
-                if coords is None:
+                entry = span.coordinates(lie_bracket(X, basis[j]).terms)
+                if entry is None:
                     raise ArsError("internal error: span is not closed under brackets")
-                entry = {k: c for k, c in enumerate(coords) if c}
                 if entry:
                     table[i][j] = entry
                     table[j][i] = {k: -c for k, c in entry.items()}
         return cls(dim, basis, table, span)
-
-    @property
-    def structure(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """Dense structure constants c[i][j][k], derived from the sparse table."""
-        size, zero, empty = len(self.basis), Fraction(0), {}
-        return tuple(
-            tuple(tuple(row.get(j, empty).get(k, zero) for k in range(size)) for j in range(size))
-            for row in self._table
-        )
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -103,7 +89,32 @@ class LieBasis:
     def member(self, X: VectorField) -> tuple[Fraction, ...] | None:
         """Coordinates of X in ``basis``, or None when X is outside the span."""
         coords = self._span.coordinates(X.terms)
-        return tuple(coords) if coords is not None else None
+        return None if coords is None else tuple(coords.get(k, Fraction(0)) for k in range(len(self.basis)))
+
+    def orders(self, weights: Sequence[int]) -> tuple[int, ...]:
+        """Order of each basis element under the weights: the one record of the grading.
+
+        The canonical basis is homogeneous exactly when the span is graded, as
+        it is when homogeneous fields generate the algebra; otherwise this
+        raises GradedFrameUnavailable, an ArsError.
+        """
+        orders = [homogeneous_orders(b, weights) for b in self.basis]
+        if any(len(s) != 1 for s in orders):
+            raise GradedFrameUnavailable("the algebra is not spanned by homogeneous elements")
+        return tuple(s for s, in orders)
+
+    def subalgebra(self, indices: Sequence[int]) -> "LieBasis":
+        """The span of the basis elements at ``indices``, which must be closed under brackets.
+
+        Its table is this table restricted: no field is bracketed.
+        """
+        pos = {i: p for p, i in enumerate(indices)}
+        rows = [self._table[i] for i in indices]
+        table = [{pos[j]: {pos[k]: c for k, c in e.items()} for j, e in row.items() if j in pos} for row in rows]
+        span = SpanBasis()
+        for i in indices:
+            span.insert(self.basis[i].terms)
+        return LieBasis(self.dim, [self.basis[i] for i in indices], table, span)
 
     def same_span(self, fields: Iterable[VectorField]) -> bool:
         other = SpanBasis()
@@ -113,10 +124,10 @@ class LieBasis:
 
     def _coords(self, X: VectorField) -> dict:
         """Sparse coordinate vector of X; ValueError when X is outside the algebra."""
-        coords = self.member(X)
+        coords = self._span.coordinates(X.terms)
         if coords is None:
             raise ValueError(f"{X} does not lie in the algebra")
-        return {k: c for k, c in enumerate(coords) if c}
+        return coords
 
     def _bracket(self, u: dict, v: dict) -> dict:
         """Bracket of two coordinate vectors, read from the structure constants."""
@@ -223,23 +234,15 @@ def _series(L: LieBasis, derived: bool) -> int | None:
             return None
         current = span.rows()
         size = len(current)
-        brackets = _next_brackets(L, current, derived)
+        if derived:
+            # a pair (u, v) is bracketed only when v has a coordinate that the
+            # table rows of u reach; otherwise every term of [u, v] is zero
+            reach = [set().union(*(L._table[i] for i in u)) for u in current]
+            pairs = ((u, v) for p, u in enumerate(current) for v in current[p + 1:] if not reach[p].isdisjoint(v))
+            brackets = (L._bracket(u, v) for u, v in pairs)
+        else:
+            brackets = (w for v in current for w in L.ad(v))
     return step
-
-
-def _next_brackets(L: LieBasis, current: list[dict], derived: bool) -> Iterable[dict]:
-    """Brackets spanning the series term after the one spanned by ``current``.
-
-    A derived pair (u, v) is bracketed only when v has a coordinate that the
-    table rows of u reach; otherwise every term of [u, v] is zero.
-    """
-    if derived:
-        reach = [set().union(*(L._table[i] for i in u)) for u in current]
-        return (
-            L._bracket(u, v)
-            for p, u in enumerate(current) for v in current[p + 1:] if not reach[p].isdisjoint(v)
-        )
-    return (w for v in current for w in L.ad(v))
 
 
 def nilpotent_step(L: LieBasis) -> int | None:
@@ -311,11 +314,11 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
         x = L._coords(fields[pos])
         if not all(ideal.contains(L._bracket(x, g)) for g in ideal.rows()):
             raise NotInvariant(f"[X, G] leaves the ideal for X = {fields[pos]}")
-        if pos < m and adjusted[pos]:
-            labels.append("affine")
-        else:
-            labels.append("linear")
+        labels.append("affine" if pos < m and adjusted[pos] else "linear")
 
+    # the fields have orders -1 and 0, so L_{<0} is a nilpotent ideal and
+    # L / L_{<0} is L_0: L is solvable exactly when L_0 is
+    L0 = L.subalgebra([i for i, s in enumerate(L.orders(A.weights)) if s == 0])
     return Classification(
         labels=tuple(labels),
         k=k,
@@ -324,7 +327,7 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
         lie_dim=len(L.basis),
         ideal_dim=len(G.basis),
         ideal_nilpotent_step=nilpotent_step(G),
-        solvable=is_solvable(L),
+        solvable=is_solvable(L0),
         order=tuple(order),
     )
 
@@ -342,14 +345,8 @@ def graded_frame(G: LieBasis, weights: Sequence[int]) -> tuple[VectorField, ...]
     origin = [Fraction(0)] * n
 
     by_order: dict[int, list[VectorField]] = {}
-    for b in G.basis:
-        for s in homogeneous_orders(b, w):
-            h = homogeneous_component(b, s, w)
-            if not G.contains(h):
-                raise GradedFrameUnavailable(
-                    "the algebra is not spanned by homogeneous elements"
-                )
-            by_order.setdefault(s, []).append(h)
+    for b, s in zip(G.basis, G.orders(w)):
+        by_order.setdefault(s, []).append(b)
 
     result: list[VectorField | None] = [None] * n
     for level in sorted(set(w)):

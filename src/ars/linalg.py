@@ -2,20 +2,17 @@
 
 Everything here works on plain ``fractions.Fraction`` values so that rank,
 membership and solving decisions are never subject to rounding.
-:class:`SpanBasis` is the one elimination kernel: it handles sparse vectors
-keyed by arbitrary comparable keys (used for spans of polynomial vector
-fields, where a key names one monomial of one component, and for coordinate
-vectors keyed by index).  The dense routines take sequences of rows and run
-on it.
+:class:`SpanBasis` is the one elimination kernel: it reduces sparse vectors
+keyed by comparable keys (a monomial of one component for vector fields, an
+index for coordinate vectors), and gives coordinates in its basis sparse,
+{row index: c}, through a leading key -> row index map built once per basis.
+The dense routines take sequences of rows and run on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
-
-
-_ZERO = Fraction(0)
 
 
 def _row_vec(row: Iterable[Fraction], tag: int | None = None) -> dict:
@@ -92,6 +89,7 @@ class SpanBasis:
 
     def __init__(self) -> None:
         self._rows: dict[Hashable, dict] = {}
+        self._index: dict[Hashable, int] | None = None
 
     @property
     def dim(self) -> int:
@@ -140,20 +138,24 @@ class SpanBasis:
             if lead in other:
                 self._subtract(other, other[lead], row)
         self._rows[lead] = row
+        self._index = None
         return True
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    def coordinates(self, vec: dict) -> list[Fraction] | None:
-        """Coordinates of vec in the basis returned by rows(), or None.
+    def coordinates(self, vec: dict) -> dict[int, Fraction] | None:
+        """Sparse coordinates {row index: c} of vec in the basis returned by rows(), or None.
 
         With full reduction each leading key occurs in exactly one row, so
-        the coordinate along a row is the coefficient of its leading key.
+        the coordinate along a row is the coefficient of its leading key,
+        found through a leading key -> row index map built once per basis.
         """
         if self.reduce(vec):
             return None
-        return [vec.get(k, _ZERO) for k in self.leading_keys()]
+        if self._index is None:
+            self._index = {k: i for i, k in enumerate(self.leading_keys())}
+        return {self._index[k]: c for k, c in vec.items() if k in self._index}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpanBasis):

@@ -135,6 +135,16 @@ def parse_frame(text: str) -> FrameDocument:
     )
 
 
+def _split_signs(tokens):
+    """Tokens with a sign glued to a monomial, as in '-x^2', split into the sign and the monomial."""
+    for tok, tcol in tokens:
+        if tok[0] in "+-" and _MONOMIAL.match(tok[1:]):
+            yield tok[0], tcol
+            yield tok[1:], tcol + 1
+        else:
+            yield tok, tcol
+
+
 def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
     n = len(var_names)
     index = {name: i for i, name in enumerate(var_names)}
@@ -160,7 +170,7 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
         has_factor = False
         started = False
 
-    for tok, tcol in tokens:
+    for tok, tcol in _split_signs(tokens):
         if tok in ("+", "-"):
             if started:
                 raise ParseError("unexpected sign inside a term", lineno, tcol)

@@ -67,6 +67,25 @@ def _monomial_factors(names: Sequence[str], exps: Exponents) -> list[str]:
     return [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exps) if k]
 
 
+def _values(pt: Point, terms: Iterable[tuple[tuple[int, Exponents], Fraction]], size: int) -> list[Fraction]:
+    """Values at ``pt`` of ``size`` polynomials given by one pass over the terms ((slot, e), c).
+
+    A monomial with a positive power of a zero coordinate vanishes and is left
+    at its first zero factor, so at the origin only the constant terms are read.
+    """
+    marked = [x or None for x in pt]
+    values = [Fraction(0)] * size
+    for (j, e), c in terms:
+        for x, k in zip(marked, e):
+            if k:
+                if x is None:
+                    break
+                c *= x**k
+        else:
+            values[j] += c
+    return values
+
+
 def _accumulate(pairs: Iterable[tuple[Hashable, Fraction]]) -> dict:
     """Sum the values of equal keys, kept in first-seen order; zero sums are dropped."""
     out: dict = {}
@@ -202,14 +221,7 @@ class Polynomial:
 
     def _evaluate(self, pt: Point) -> Fraction:
         """Exact value at ``pt``, which must already be a point of Fractions."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            val = c
-            for x, k in zip(pt, e):
-                if k:
-                    val *= x**k
-            total += val
-        return total
+        return _values(pt, (((0, e), c) for e, c in self.terms.items()), 1)[0]
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         if len(point) != self.dim:
@@ -400,8 +412,8 @@ class VectorField:
         return self._evaluate(as_point(point, self.dim))
 
     def _evaluate(self, pt: Point) -> Point:
-        """Exact value at ``pt``, which must already be a point of Fractions."""
-        return tuple(c._evaluate(pt) for c in self.components)
+        """Exact value at ``pt``, which must already be a point of Fractions; one pass over ``terms``."""
+        return tuple(_values(pt, self.terms.items(), self.dim))
 
     def evaluate_float(self, point: Sequence[float]) -> tuple[float, ...]:
         return tuple(c.evaluate_float(point) for c in self.components)

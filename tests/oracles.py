@@ -213,11 +213,23 @@ def derived_dims(basis: list[VectorField]) -> list[int]:
     return _series_dims(basis, derived=True)
 
 
+def naive_poly_eval(f: Polynomial, point) -> Fraction:
+    """Value of f at the point: every monomial is formed, none is skipped."""
+    return sum((c * math.prod(Fraction(p) ** k for p, k in zip(point, e)) for e, c in f.terms.items()), Fraction(0))
+
+
 def naive_eval(X: VectorField, point) -> list[Fraction]:
-    return [
-        sum((c * math.prod(Fraction(p) ** k for p, k in zip(point, e)) for e, c in comp.terms.items()), Fraction(0))
-        for comp in X.components
-    ]
+    return [naive_poly_eval(comp, point) for comp in X.components]
+
+
+def structure(L) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """Dense structure constants c[i][j][k] of a LieBasis, read off its sparse table:
+    [b_i, b_j] = sum_k c[i][j][k] b_k."""
+    size, zero, empty = len(L.basis), Fraction(0), {}
+    return tuple(
+        tuple(tuple(row.get(j, empty).get(k, zero) for k in range(size)) for j in range(size))
+        for row in L._table
+    )
 
 
 def naive_flag_dims(fields: list[VectorField], point, depth: int) -> list[int]:

@@ -20,9 +20,9 @@ from ars.liealg import (
     nilpotent_step,
     rank_condition_at_zero,
 )
-from ars.symcore import Polynomial, VectorField, lie_bracket
+from ars.symcore import ArsError, Polynomial, VectorField, lie_bracket, linear_combination
 
-from oracles import closure_fields, derived_dims, ideal_fields, lower_central_dims, spans_equal
+from oracles import closure_fields, derived_dims, ideal_fields, lower_central_dims, spans_equal, structure
 
 
 def var(dim, j):
@@ -102,17 +102,18 @@ def test_structure_constants_reexpand(e1_frame, e2_frame, e3_frame):
         algebras.append(ideal_closure(lie_closure(fields), list(fields[:gens])))
     for L in algebras:
         size = len(L)
+        dense = structure(L)
         for i in range(size):
             for j in range(size):
                 expected = lie_bracket(L.basis[i], L.basis[j])
                 combo = VectorField.zero(L.dim)
                 for kk in range(size):
-                    c = L.structure[i][j][kk]
+                    c = dense[i][j][kk]
                     if c != 0:
                         combo = combo + c * L.basis[kk]
                 assert combo == expected
                 # antisymmetry of the table
-                assert L.structure[i][j] == tuple(-c for c in L.structure[j][i])
+                assert dense[i][j] == tuple(-c for c in dense[j][i])
 
 
 # --- ideals ---------------------------------------------------------------------
@@ -519,6 +520,86 @@ def test_random_homogeneous_ideals_are_nilpotent_and_invariant():
                 assert G.contains(lie_bracket(b, g))
         checked += 1
     assert checked >= 20
+
+
+def _paper_algebras(*frames):
+    """(weights, L, G) of the analysis of each frame: L is generated by the approximating fields."""
+    for frame in frames:
+        A, L, G = _analysis(frame)
+        yield A.weights, L, G
+
+
+def test_sparse_coordinates_match_dense_view(e1_frame, e2_frame, e3_frame):
+    rng = random.Random(11)
+    checked = 0
+    for _, L, G in list(_paper_algebras(e1_frame, e2_frame, e3_frame)) + list(_random_homogeneous_ideals()):
+        for algebra in (L, G):
+            size, dense = len(algebra), structure(algebra)
+            for i in range(size):
+                for j in range(size):
+                    coords = algebra._span.coordinates(lie_bracket(algebra.basis[i], algebra.basis[j]).terms)
+                    assert coords == {k: c for k, c in enumerate(dense[i][j]) if c}
+                    assert all(c for c in coords.values())
+            # a combination with known coordinates reads them back, sparse and dense
+            chosen = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in rng.sample(range(size), min(size, 3))}
+            chosen = {k: c for k, c in chosen.items() if c}
+            X = linear_combination(((c, algebra.basis[k]) for k, c in chosen.items()), algebra.dim)
+            assert algebra._coords(X) == chosen
+            assert algebra.member(X) == tuple(chosen.get(k, Fraction(0)) for k in range(size))
+            checked += 1
+    assert checked >= 46
+    outside = only_component(3, 0, var(3, 1))
+    L = next(_paper_algebras(e1_frame))[1]
+    assert L._span.coordinates(outside.terms) is None and L.member(outside) is None
+
+
+def test_solvability_of_order_zero_part_matches_whole_algebra(e1_frame, e2_frame, e3_frame):
+    cases = [(w, L) for w, L, _ in _paper_algebras(e1_frame, e2_frame, e3_frame)]
+    for fields in [_grushin_pow_fields(n) for n in (5, 6, 7)] + [_chain_fields(n) for n in (5, 6)]:
+        # X_i has order -1 exactly when x_i has weight i
+        cases.append((tuple(range(1, len(fields) + 1)), lie_closure(fields)))
+    cases += [(w, L) for w, L, _ in _random_homogeneous_ideals()]
+    zero_dims, verdicts = [], []
+    for weights, L in cases:
+        orders = L.orders(weights)
+        assert orders == tuple(s for b in L.basis for s in homogeneous_orders(b, weights))
+        assert all(s <= 0 for s in orders)
+        index = [i for i, s in enumerate(orders) if s == 0]
+        L0 = L.subalgebra(index)
+        # L_0's table is L's, restricted
+        dense, dense0 = structure(L), structure(L0)
+        assert list(L0.basis) == [L.basis[i] for i in index]
+        for p, i in enumerate(index):
+            for q, j in enumerate(index):
+                assert dense0[p][q] == tuple(dense[i][j][k] for k in index)
+                assert not any(dense[i][j][k] for k in range(len(L)) if k not in index)
+        solvable = is_solvable(L)
+        assert is_solvable(L0) == solvable == (derived_dims(list(L.basis))[-1] == 0)
+        if index:
+            assert is_solvable(L0) == (derived_dims(list(L0.basis))[-1] == 0)
+        zero_dims.append(len(L0))
+        verdicts.append(solvable)
+    # E1, E2, E3, then the scaling families: only E3 has a nonzero L_0, sl2
+    assert zero_dims[:8] == [0, 0, 3, 0, 0, 0, 0, 0]
+    assert verdicts[:8] == [True, True, False, True, True, True, True, True]
+    # the random algebras have nonzero L_0 and a non-solvable case too
+    assert len(cases) >= 28 and any(zero_dims[8:]) and not all(verdicts[8:])
+    # classify_fields reads the same verdict off L_0
+    for frame in (e1_frame, e2_frame, e3_frame):
+        A, L, G = _analysis(frame)
+        assert classify_fields(A, L, G).solvable == is_solvable(L)
+
+
+def test_orders_reject_an_inhomogeneous_basis_element():
+    # d/dx + d/dy has orders -1 and -2 under the weights (1, 2)
+    L = lie_closure([VectorField.coordinate(2, 0) + VectorField.coordinate(2, 1)])
+    assert L.orders((1, 1)) == (-1,)
+    with pytest.raises(GradedFrameUnavailable, match="not spanned by homogeneous elements") as err:
+        L.orders((1, 2))
+    assert isinstance(err.value, ArsError)
+    # graded_frame reads the same record
+    with pytest.raises(GradedFrameUnavailable, match="not spanned by homogeneous elements"):
+        graded_frame(L, (1, 2))
 
 
 def _graded_frame_cases(e3_frame):

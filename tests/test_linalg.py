@@ -118,7 +118,26 @@ def test_span_basis_is_canonical(rows, rng):
         coords = span.coordinates(v)
         assert coords is not None and span.contains(v)
         combo: dict = {}
-        for c, row in zip(coords, basis):
-            for k, x in row.items():
+        for i, c in coords.items():
+            for k, x in basis[i].items():
                 combo[k] = combo.get(k, 0) + c * x
         assert {k: x for k, x in combo.items() if x != 0} == v
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(matrices())
+def test_coordinates_follow_inserts(rows):
+    # coordinates read between inserts must use the basis as it is then
+    vecs = [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
+    span = SpanBasis()
+    for n, v in enumerate(vecs):
+        span.insert(v)
+        basis = span.rows()
+        for u in vecs[: n + 1]:
+            coords = span.coordinates(u)
+            assert set(coords) <= set(range(len(basis))) and all(coords.values())
+            combo: dict = {}
+            for i, c in coords.items():
+                for k, x in basis[i].items():
+                    combo[k] = combo.get(k, 0) + c * x
+            assert {k: x for k, x in combo.items() if x != 0} == u

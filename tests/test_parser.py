@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,28 @@ def test_parse_negative_terms():
     doc = parse_frame("vars x y\nfield A = d/dx - x d/dy\nfield B = -1/3 d/dy\n")
     assert doc.fields[0] == VectorField.coordinate(2, 0) - only_component(2, 1, var(2, 0))
     assert doc.fields[1] == only_component(2, 1, Polynomial.constant(2, Fraction(-1, 3)))
+
+
+@pytest.mark.parametrize(
+    "expression, coefficient, exponents",
+    [("-x d/dy", -1, (1, 0)), ("-x^2 y d/dy", -1, (2, 1)), ("d/dx -x d/dy", -1, (1, 0)), ("d/dx +y d/dy", 1, (0, 1))],
+)
+def test_sign_glued_to_a_monomial(expression, coefficient, exponents):
+    doc = parse_frame(f"vars x y\nfield A = d/dx\nfield B = {expression}\n")
+    expected = only_component(2, 1, Polynomial.monomial(2, exponents, coefficient))
+    if expression.startswith("d/dx"):
+        expected = VectorField.coordinate(2, 0) + expected
+    assert doc.fields[1] == expected
+    # a glued sign reads as a separate one
+    spaced = expression.replace("-", "- ").replace("+", "+ ")
+    assert doc == parse_frame(f"vars x y\nfield A = d/dx\nfield B = {spaced}\n")
+
+
+def test_glued_sign_inside_a_term_is_an_error():
+    with pytest.raises(ParseError) as err:
+        parse_frame("vars x y\nfield A = d/dx\nfield B = 2 -x d/dy\n")
+    assert "sign inside a term" in str(err.value)
+    assert (err.value.line, err.value.column) == (3, 13)
 
 
 def test_undeclared_variable_is_an_error():
@@ -148,3 +171,32 @@ def documents(draw):
 @given(documents())
 def test_round_trip_random_documents(doc):
     assert parse_frame(print_frame(doc)) == doc
+
+
+unit_coeffs = st.sampled_from([Fraction(-1), Fraction(1)])
+
+
+@st.composite
+def unit_documents(draw):
+    """Frames whose coefficients are all +-1, so every printed term opens with a sign and a monomial."""
+    dim = draw(st.integers(1, 3))
+    fields = []
+    for _ in range(dim):
+        exps = st.tuples(*([st.integers(0, 2)] * dim))
+        comps = [Polynomial(dim, draw(st.dictionaries(exps, unit_coeffs, max_size=3))) for _ in range(dim)]
+        fields.append(VectorField(comps))
+    return FrameDocument(
+        var_names=tuple(f"v{i}" for i in range(dim)),
+        field_names=tuple(f"F{i}" for i in range(dim)),
+        fields=tuple(fields),
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(unit_documents())
+def test_round_trip_unit_coefficients_with_glued_signs(doc):
+    text = print_frame(doc)
+    assert parse_frame(text) == doc
+    # glue every sign to the monomial after it: '- v0 d/dv1' becomes '-v0 d/dv1'
+    glued = re.sub(r"([+-]) (?=v\d)", r"\1", text)
+    assert parse_frame(glued) == doc

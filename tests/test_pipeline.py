@@ -10,7 +10,9 @@ import pytest
 import ars.grading
 import ars.liealg
 from ars.cli import main
-from ars.grading import RankConditionFailure, coordinate_orders
+from ars.approx import build_approximation
+from ars.grading import RankConditionFailure, coordinate_orders, growth_vector
+from ars.liealg import is_solvable, lie_closure
 from ars.parser import parse_frame
 from ars.pipeline import AnalyzeOptions, NotPrivileged, analyze
 
@@ -180,15 +182,8 @@ def _chain_text(n: int) -> str:
     return "vars " + " ".join(names) + "\n" + "".join(f"field X{i + 1} = {f}\n" for i, f in enumerate(fields))
 
 
-@pytest.mark.parametrize(
-    "text, expected",
-    [(E3_TEXT, 14), (_grushin_pow_text(9), 0), (_chain_text(7), 20)],
-    ids=["E3", "grushin_pow(9)", "chain(7)"],
-)
-def test_solvability_brackets_skip_by_support(text, expected, monkeypatch):
-    # is_solvable brackets a pair of derived rows only when the table rows
-    # of the first reach a coordinate of the second; every pair would be
-    # 36, 630 and 255 brackets
+def _count_solvability_brackets(monkeypatch) -> Counter:
+    """Counter of the LieBasis._bracket calls made inside is_solvable from now on."""
     counts: Counter = Counter()
     bracket = ars.liealg.LieBasis._bracket
 
@@ -200,8 +195,45 @@ def test_solvability_brackets_skip_by_support(text, expected, monkeypatch):
         return bracket(self, u, v)
 
     monkeypatch.setattr(ars.liealg.LieBasis, "_bracket", counting)
-    analyze(parse_frame(text))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [(E3_TEXT, 14), (_grushin_pow_text(9), 0), (_chain_text(7), 20)],
+    ids=["E3", "grushin_pow(9)", "chain(7)"],
+)
+def test_solvability_brackets_skip_by_support(text, expected, monkeypatch):
+    # is_solvable brackets a pair of derived rows only when the table rows
+    # of the first reach a coordinate of the second; every pair would be
+    # 36, 630 and 255 brackets.  L is the algebra that analyze builds.
+    frame = parse_frame(text).to_frame()
+    _, weights = growth_vector(frame)
+    L = lie_closure(build_approximation(frame, weights).fields)
+    counts = _count_solvability_brackets(monkeypatch)
+    is_solvable(L)
     assert counts["is_solvable"] == expected
+
+
+@pytest.mark.parametrize(
+    "text, lie_dim, order_zero_dim, solvable, expected",
+    [(E3_TEXT, 11, 3, False, 0), (_grushin_pow_text(9), 45, 0, True, 0), (_chain_text(7), 28, 0, True, 0)],
+    ids=["E3", "grushin_pow(9)", "chain(7)"],
+)
+def test_analyze_decides_solvability_on_order_zero_part(text, lie_dim, order_zero_dim, solvable, expected, monkeypatch):
+    # analyze runs the derived series of L_0 only: zero on the scaling
+    # families, and sl2 for E3, whose first derived term is all of it, so no
+    # pair of rows is bracketed (is_solvable(L) brackets 14, 0 and 20)
+    counts = _count_solvability_brackets(monkeypatch)
+    sizes = []
+    series = ars.liealg._series
+    monkeypatch.setattr(ars.liealg, "_series", lambda L, derived: sizes.append(len(L)) or series(L, derived))
+    report = analyze(parse_frame(text))
+    assert counts["is_solvable"] == expected
+    assert report.classification.lie_dim == lie_dim
+    assert report.classification.solvable is solvable
+    # nilpotent_step(G), then is_solvable(L_0)
+    assert sizes == [report.classification.ideal_dim, order_zero_dim]
 
 
 # --- CLI ----------------------------------------------------------------------

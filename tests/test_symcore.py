@@ -23,6 +23,8 @@ from oracles import (
     finite_difference_apply,
     naive_apply,
     naive_bracket,
+    naive_eval,
+    naive_poly_eval,
     naive_substitute,
     poly_to_dict,
 )
@@ -319,6 +321,26 @@ def test_eval_constant_plus_linear():
 def test_eval_substitution():
     X = VectorField([Polynomial.zero(3), Polynomial.zero(3), var(3, 1) ** 2])
     assert vf_eval(X, (1, 2, 3)) == (0, 0, 4)
+
+
+@st.composite
+def fields_and_points_with_zeros(draw, max_dim: int = 4):
+    dim = draw(st.integers(1, max_dim))
+    point = draw(st.tuples(*([st.just(Fraction(0)) | coeffs] * dim)))
+    return draw(vector_fields(dim)), point
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fields_and_points_with_zeros())
+def test_evaluate_matches_naive_oracle(data):
+    # monomials with a positive power of a zero coordinate are skipped
+    X, point = data
+    values = X._evaluate(point)
+    assert list(values) == naive_eval(X, point)
+    assert all(type(v) is Fraction for v in values)
+    for comp, value in zip(X.components, values):
+        assert comp._evaluate(point) == naive_poly_eval(comp, point) == value
+        assert type(comp._evaluate(point)) is Fraction
 
 
 def test_eval_dimension_mismatch():
