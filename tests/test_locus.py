@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import signal
@@ -337,6 +338,47 @@ def test_sampler_ranks_only_on_the_zero_set(request, monkeypatch, name, line_sea
     reports = stratify_samples(frame, 200, seed=0, line_search=line_search)
     assert counter[0] == calls
     assert [(r.r, len(r.hits), r.sample_count, r.estimated_codim) for r in reports] == summary
+
+
+def hits_digest(hits) -> str:
+    """sha256 prefix of the hits: exact points as str(Fraction), approximate ones as float.hex."""
+    text = ";".join(
+        f"{int(h.exact)}:" + ",".join(str(c) if h.exact else float.hex(c) for c in h.point) for h in hits
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (r, sample_count, estimated_codim, number of hits, hits_digest) per
+# stratum of stratify_samples(frame, 200, seed) with line search on
+SAMPLER_PINS = {
+    ("e1_frame", 0): [(1, 238, 0, 48, "532e9751e186df9a")],
+    ("e1_frame", 1): [(1, 236, 0, 47, "b193ba88786ce47b")],
+    ("e1_frame", 2): [(1, 237, 0, 48, "a359d07a65f9382c"), (2, 237, None, 1, "a80258a1ee333a37")],
+    ("e1_frame", 3): [(1, 235, 0, 45, "9b82fa5cfedbe114"), (2, 235, 0, 1, "8daecdc5d8b74730")],
+    ("e2_frame", 0): [(1, 236, 0, 43, "71a998a24e57ec95"), (2, 236, None, 0, "e3b0c44298fc1c14")],
+    ("e2_frame", 1): [(1, 234, 0, 39, "6549fa6e7fce46c4"), (2, 234, 0, 1, "a187cc1ceddad493")],
+    ("e2_frame", 2): [(1, 236, 0, 47, "b99ab6170e88d117"), (2, 236, 0, 1, "d0187333d779b369")],
+    ("e2_frame", 3): [(1, 238, 0, 48, "3dc84ffaa20d72c0"), (2, 238, None, 0, "e3b0c44298fc1c14")],
+    ("e3_frame", 0): [(1, 254, 0, 61, "c7449c33b5db6109"), (2, 254, None, 1, "2f4f68442c78b5fb")],
+    ("e3_frame", 1): [(1, 254, 0, 66, "56da62a4c24fadf5"), (2, 254, None, 0, "e3b0c44298fc1c14")],
+    ("e3_frame", 2): [(1, 254, 0, 65, "6f98e073a6815085"), (2, 254, None, 0, "e3b0c44298fc1c14")],
+    ("e3_frame", 3): [(1, 251, 0, 64, "d6abb8eccbc28b24"), (2, 251, None, 0, "e3b0c44298fc1c14")],
+    ("grushin_frame", 0): [(1, 217, 0, 20, "87e1ac5a6839ba1b")],
+    ("grushin_frame", 1): [(1, 216, 0, 23, "a4b5016af402ec03")],
+    ("grushin_frame", 2): [(1, 216, 0, 21, "d952dc8267a087d3")],
+    ("grushin_frame", 3): [(1, 219, 0, 24, "adfc801429ec8392")],
+    ("tangential_frame", 0): [(1, 216, 1, 16, "62785fa42689e832")],
+    ("tangential_frame", 1): [(1, 219, 0, 21, "879a177804ba94d7")],
+    ("tangential_frame", 2): [(1, 220, 0, 23, "ca3e5637a6be4412")],
+    ("tangential_frame", 3): [(1, 221, 0, 22, "256f118e580c0c5e")],
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(SAMPLER_PINS))
+def test_sampler_output_is_pinned(request, name, seed):
+    reports = stratify_samples(request.getfixturevalue(name), 200, seed=seed)
+    got = [(r.r, r.sample_count, r.estimated_codim, len(r.hits), hits_digest(r.hits)) for r in reports]
+    assert got == SAMPLER_PINS[name, seed]
 
 
 @st.composite
