@@ -1,10 +1,12 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 parse or usage error (an option that does not fit
-the frame, or an ARS_MAX_DEGREE that is not an integer >= 1), 3
+Exit codes: 0 success, 2 parse or usage error (a frame file that cannot be
+read as UTF-8 text, an option that does not fit the frame, an
+ARS_MAX_DEGREE that is not an integer >= 1, or codims n < 2), 3
 rank-condition failure, 4 the coordinates are not privileged for the
 weights, 5 degenerate approximation (the report is still written), 6 a
-bracket exceeded the degree cap ARS_MAX_DEGREE.
+bracket exceeded the degree cap ARS_MAX_DEGREE.  Every exit 2, 3, 4 and 6
+prints one ``label: message`` line on stderr and writes a JSON diagnostic.
 """
 
 from __future__ import annotations
@@ -92,11 +94,23 @@ def _write_json(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _diagnostic(kind: str, message: str, report: Report | None) -> dict:
-    payload = {"schema": REPORT_SCHEMA, "error": {"kind": kind, "message": message}}
+# analyze's failures: (stderr label, exit code)
+_ANALYZE_FAILURES = {
+    RankConditionFailure: ("rank condition failure", EXIT_RANK),
+    NotPrivileged: ("not privileged", EXIT_NOT_PRIVILEGED),
+    DegreeBoundExceeded: ("degree cap exceeded", EXIT_DEGREE_CAP),
+}
+
+
+def _fail(label: str, code: int, exc: Exception, json_out: str | None) -> int:
+    """Print ``label: exc``, write a diagnostic of kind label in snake case with any partial report; return code."""
+    print(f"{label}: {exc}", file=sys.stderr)
+    payload = {"schema": REPORT_SCHEMA, "error": {"kind": label.replace(" ", "_"), "message": str(exc)}}
+    report = getattr(exc, "report", None)
     if report is not None:
         payload["partial"] = report.to_json_dict()
-    return payload
+    _write_json(payload, json_out)
+    return code
 
 
 def _check_usage(options: AnalyzeOptions, dim: int) -> None:
@@ -113,15 +127,12 @@ def _check_usage(options: AnalyzeOptions, dim: int) -> None:
 def _run_analysis(args, command: str) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail("usage error", EXIT_USAGE, exc, args.json_out)
     try:
         doc = parse_frame(text)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        _write_json(_diagnostic("parse_error", str(exc), None), args.json_out)
-        return EXIT_PARSE
+        return _fail("parse error", EXIT_PARSE, exc, args.json_out)
 
     options = AnalyzeOptions(
         weights=args.weights,
@@ -135,26 +146,11 @@ def _run_analysis(args, command: str) -> int:
     try:
         _check_usage(options, len(doc.var_names))
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        _write_json(_diagnostic("usage_error", str(exc), None), args.json_out)
-        return EXIT_USAGE
+        return _fail("usage error", EXIT_USAGE, exc, args.json_out)
     try:
         report = analyze(doc, options)
-    except RankConditionFailure as exc:
-        print(f"rank condition failure: {exc}", file=sys.stderr)
-        _write_json(_diagnostic("rank_condition_failure", str(exc),
-                                getattr(exc, "report", None)), args.json_out)
-        return EXIT_RANK
-    except NotPrivileged as exc:
-        print(f"not privileged: {exc}", file=sys.stderr)
-        _write_json(_diagnostic("not_privileged", str(exc),
-                                getattr(exc, "report", None)), args.json_out)
-        return EXIT_NOT_PRIVILEGED
-    except DegreeBoundExceeded as exc:
-        print(f"degree cap exceeded: {exc}", file=sys.stderr)
-        _write_json(_diagnostic("degree_cap_exceeded", str(exc),
-                                getattr(exc, "report", None)), args.json_out)
-        return EXIT_DEGREE_CAP
+    except tuple(_ANALYZE_FAILURES) as exc:
+        return _fail(*_ANALYZE_FAILURES[type(exc)], exc, args.json_out)
 
     payload = report.to_json_dict()
     if command != "analyze":
@@ -204,10 +200,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "codims":
         try:
-            _write_json(genericity_codims(args.n), args.json_out)
+            table = genericity_codims(args.n)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return _fail("usage error", EXIT_USAGE, exc, args.json_out)
+        _write_json(table, args.json_out)
         return EXIT_OK
     return _run_analysis(args, args.command)
 

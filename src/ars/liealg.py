@@ -19,13 +19,13 @@ from typing import Iterable, Sequence
 
 from .approx import ApproximationSet, DegenerateApproximation
 from .grading import DegreeBoundExceeded, bracket_rounds, check_weights, homogeneous_orders
-from .linalg import SpanBasis, rank, solve_combination
+from .linalg import SpanBasis, solve_combination
 from .symcore import (
     ArsError,
     VectorField,
     _accumulate,
-    as_point,
     commute_by_support,
+    frame_rank_at,
     lie_bracket,
     linear_combination,
     max_degree_cap,
@@ -276,8 +276,7 @@ def adjoint_matrix(X: VectorField, G: LieBasis) -> tuple[tuple[Fraction, ...], .
 
 def rank_condition_at_zero(G: LieBasis, point: Sequence) -> bool:
     """True iff the evaluations of G's basis at the point span R^n."""
-    pt = as_point(point, G.dim)
-    return rank([b.evaluate(pt) for b in G.basis]) == G.dim
+    return frame_rank_at(G.basis, point) == G.dim
 
 
 def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classification:

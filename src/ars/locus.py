@@ -6,13 +6,16 @@ generic frame Z_r has codimension r^2, and the pure-arithmetic consequences
 of that picture (largest corank, reachable dimensions, feasibility windows
 for tangency defects) are tabulated by :func:`genericity_codims`.
 
-:func:`stratify_samples` reads corank 0 off the determinant: a sample where
-it is nonzero has full rank, and the exact rank is computed only on its
-zero set.
+The submersion and tangency tests read the determinant's gradient at a
+point of the corank-1 stratum Z_1.  :func:`stratify_samples` reads corank 0
+off the determinant, ranks only its zero set, and adds one sample per root
+of the determinant on each random line: exact at a rational root, and
+approximate (floats, on Z_1) at an irrational one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -40,6 +43,14 @@ class StratumHit:
 
 @dataclass(frozen=True)
 class StratumReport:
+    """The hits on the corank-r stratum Z_r and their codimension estimate.
+
+    ``sample_count`` is the budget plus one sample per line root, the same
+    for every stratum of a run.  ``estimated_codim`` is 0 when random
+    samples hit Z_r, 1 when only line roots hit Z_1, and None otherwise.
+    Each hit is exact (rational coordinates) or approximate (floats).
+    """
+
     r: int
     sample_count: int
     hits: tuple[StratumHit, ...]
@@ -50,32 +61,27 @@ class StratumReport:
 def frame_determinant(frame: Frame) -> Polynomial:
     """Determinant of the matrix whose columns are the frame fields.
 
-    Computed by expansion over column subsets, one row at a time, with the
-    minors cached; exact over Q.
+    Computed by expansion along the rows over column subsets, each minor
+    once; exact over Q.
     """
     n = frame.dim
-    # entry (row i, column j) = component i of field j
-    entries = [[frame.fields[j].components[i] for j in range(n)] for i in range(n)]
-    cache: dict[tuple[int, ...], Polynomial] = {}
 
-    def minor(row: int, cols: tuple[int, ...]) -> Polynomial:
+    @functools.cache
+    def minor(cols: tuple[int, ...]) -> Polynomial:
+        """The minor on the last len(cols) rows and the columns cols; entry (i, j) is component i of field j."""
         if not cols:
             return Polynomial.constant(n, 1)
-        cached = cache.get(cols)
-        if cached is not None:
-            return cached
+        row = n - len(cols)
         total = Polynomial.zero(n)
         for idx, col in enumerate(cols):
-            entry = entries[row][col]
+            entry = frame.fields[col].components[row]
             if entry.is_zero:
                 continue
-            sub = minor(row + 1, cols[:idx] + cols[idx + 1 :])
-            term = entry * sub
+            term = entry * minor(cols[:idx] + cols[idx + 1 :])
             total = total + term if idx % 2 == 0 else total - term
-        cache[cols] = total
         return total
 
-    return minor(0, tuple(range(n)))
+    return minor(tuple(range(n)))
 
 
 def corank_at(frame: Frame, point: Sequence) -> int:
@@ -83,22 +89,23 @@ def corank_at(frame: Frame, point: Sequence) -> int:
     return frame.dim - frame_rank_at(frame.fields, point)
 
 
-def determinant_gradient(frame: Frame) -> tuple[Polynomial, ...]:
-    d = frame_determinant(frame)
-    return tuple(d.diff(j) for j in range(frame.dim))
-
-
 def _point_text(pt: Point) -> str:
     """A point as ``(1/2, 0)``, not as a tuple of Fraction reprs."""
     return "(" + ", ".join(map(str, pt)) + ")"
 
 
-def det_submersion_check(frame: Frame, point: Sequence) -> bool:
-    """True iff the determinant has a nonzero gradient at a corank-1 point."""
+def _z1_gradient(frame: Frame, point: Sequence) -> tuple[Point, list[Fraction]]:
+    """The point and the determinant's gradient there; NotOnZ1 unless the corank is 1."""
     pt = as_point(point, frame.dim)
     if corank_at(frame, pt) != 1:
         raise NotOnZ1(f"corank at {_point_text(pt)} is not 1")
-    return any(g.evaluate(pt) != 0 for g in determinant_gradient(frame))
+    det = frame_determinant(frame)
+    return pt, [det.diff(j)._evaluate(pt) for j in range(frame.dim)]
+
+
+def det_submersion_check(frame: Frame, point: Sequence) -> bool:
+    """True iff the determinant has a nonzero gradient at a corank-1 point."""
+    return any(_z1_gradient(frame, point)[1])
 
 
 def tangency_check(frame: Frame, point: Sequence) -> bool:
@@ -109,17 +116,10 @@ def tangency_check(frame: Frame, point: Sequence) -> bool:
     one the span has the kernel's dimension and inclusion in the kernel is
     equality.
     """
-    pt = as_point(point, frame.dim)
-    if corank_at(frame, pt) != 1:
-        raise NotOnZ1(f"corank at {_point_text(pt)} is not 1")
-    grad = [g.evaluate(pt) for g in determinant_gradient(frame)]
-    if all(c == 0 for c in grad):
+    pt, grad = _z1_gradient(frame, point)
+    if not any(grad):
         raise DegenerateZ1(f"the determinant is singular at {_point_text(pt)}")
-    for f in frame.fields:
-        v = f.evaluate(pt)
-        if sum(a * b for a, b in zip(grad, v)) != 0:
-            return False
-    return True
+    return all(sum(a * b for a, b in zip(grad, f._evaluate(pt))) == 0 for f in frame.fields)
 
 
 def default_sampler(rng: random.Random, dim: int) -> Point:
@@ -265,66 +265,41 @@ def stratify_samples(
     draw = (lambda: sampler(rng)) if sampler is not None else (lambda: default_sampler(rng, n))
     detp = frame_determinant(frame)
 
-    exact_hits: dict[int, list[StratumHit]] = {}
-    sample_count = 0
+    hits: dict[int, list[StratumHit]] = {}
     for _ in range(budget):
         pt = as_point(draw(), n)
-        sample_count += 1
         if detp._evaluate(pt) == 0:
             # an n x n matrix has full rank exactly where its determinant is nonzero
-            exact_hits.setdefault(corank_at(frame, pt), []).append(StratumHit(pt, True))
+            hits.setdefault(corank_at(frame, pt), []).append(StratumHit(pt, True))
+    random_hit_coranks = set(hits)
 
-    random_hit_coranks = set(exact_hits)
-
-    line_hit = False
-    if line_search:
-        attempts = max(4, min(24, budget // 10))
-        for _ in range(attempts):
-            base = as_point(draw(), n)
-            direction = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
-            if all(d == 0 for d in direction):
-                continue
-            # restrict the determinant to base + t*direction
+    line_roots: list[StratumHit] = []
+    for _ in range(max(4, min(24, budget // 10)) if line_search else 0):
+        base = as_point(draw(), n)
+        direction = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
+        if any(direction):
+            # the determinant on base + t*direction; a zero restriction has no coefficients
             line_poly = detp.affine_substituted(base, direction, [0] * n, 1)
-            max_deg = max((e[0] for e in line_poly.terms), default=-1)
-            if max_deg < 0:
-                continue  # the whole line lies in the locus
-            coeffs = [line_poly.terms.get((d,), Fraction(0)) for d in range(max_deg + 1)]
+            coeffs = [line_poly.terms.get((d,), Fraction(0)) for d in range(line_poly.total_degree() + 1)]
             rroots = _rational_roots(list(coeffs))
-            for t0 in rroots:
-                pt = tuple(b + t0 * d for b, d in zip(base, direction))
-                sample_count += 1
-                r = corank_at(frame, pt)
-                if r >= 1:
-                    line_hit = True
-                    exact_hits.setdefault(r, []).append(StratumHit(pt, True))
-            for tf in _float_roots(list(coeffs), rroots):
-                pt_f = tuple(float(b) + tf * float(d) for b, d in zip(base, direction))
-                sample_count += 1
-                line_hit = True
-                exact_hits.setdefault(1, []).append(StratumHit(pt_f, False))
+            # a Fraction root gives an exact point, a float root an approximate one
+            for t in rroots + _float_roots(list(coeffs), rroots):
+                point = tuple(b + t * d for b, d in zip(base, direction))
+                line_roots.append(StratumHit(point, isinstance(t, Fraction)))
+    # the determinant vanishes at a rational root, so its corank is at least 1
+    for hit in line_roots:
+        hits.setdefault(corank_at(frame, hit.point) if hit.exact else 1, []).append(hit)
 
-    max_generic = int(math.isqrt(n))
-    coranks = sorted(set(range(1, max_generic + 1)) | set(exact_hits))
-    reports = []
-    for r in coranks:
-        hits = tuple(exact_hits.get(r, []))
-        estimated: int | None = None
-        if r in random_hit_coranks:
-            # positive-measure hits from plain sampling
-            estimated = 0
-        elif r == 1 and line_hit and hits:
-            estimated = 1
-        reports.append(
-            StratumReport(
-                r=r,
-                sample_count=sample_count,
-                hits=hits,
-                estimated_codim=estimated,
-                predicted_codim=r * r,
-            )
+    return tuple(
+        StratumReport(
+            r=r,
+            sample_count=budget + len(line_roots),
+            hits=tuple(hits.get(r, [])),
+            estimated_codim=0 if r in random_hit_coranks else 1 if r == 1 and r in hits else None,
+            predicted_codim=r * r,
         )
-    return tuple(reports)
+        for r in sorted(set(range(1, math.isqrt(n) + 1)) | set(hits))
+    )
 
 
 def genericity_codims(n: int) -> dict:
@@ -337,8 +312,8 @@ def genericity_codims(n: int) -> dict:
     """
     if n < 2:
         raise ValueError("the stratification table needs n >= 2")
-    table: dict = {"n": n, "R": int(math.isqrt(n)), "strata": []}
-    for r in range(1, int(math.isqrt(n)) + 1):
+    table: dict = {"n": n, "R": math.isqrt(n), "strata": []}
+    for r in range(1, math.isqrt(n) + 1):
         entry: dict = {
             "r": r,
             "codim": r * r,
@@ -348,17 +323,12 @@ def genericity_codims(n: int) -> dict:
         if r == 1:
             entry["tangential_points"] = "isolated"
         else:
-            conditions = []
             min_n = r * r + r - (r - 1) // 2
-            conditions.append({"s": 1, "min_n": min_n, "feasible": n >= min_n})
-            s = 2
-            while s * s <= r:
+            conditions = [{"s": 1, "min_n": min_n, "feasible": n >= min_n}]
+            for s in range(2, math.isqrt(r) + 1):
                 lo = r * r + r - (r - s * s) // (s - 1)
                 hi = r * r + r + (r - s * s) // (s + 1)
-                conditions.append(
-                    {"s": s, "min_n": lo, "max_n": hi, "feasible": lo <= n <= hi}
-                )
-                s += 1
+                conditions.append({"s": s, "min_n": lo, "max_n": hi, "feasible": lo <= n <= hi})
             entry["defect_conditions"] = conditions
             entry["defect_empty_when"] = f"s^2 > {r}"
         table["strata"].append(entry)

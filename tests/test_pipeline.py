@@ -302,6 +302,25 @@ def test_cli_exit_code_usage_error(tmp_path, capsys, monkeypatch, flags, max_deg
     assert json.loads(out.read_text())["error"]["kind"] == "usage_error"
 
 
+@pytest.mark.parametrize("json_flag", [True, False], ids=["json_file", "stdout"])
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "missing.frame"], ["analyze", "latin1.frame"], ["codims", "1"]],
+    ids=["missing_file", "not_utf8", "codims_below_2"],
+)
+def test_cli_usage_error_writes_diagnostic(tmp_path, capsys, monkeypatch, argv, json_flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.frame").write_bytes(b"vars x\xe9\n")
+    out = tmp_path / "diag.json"
+    assert main([*argv, *(["--json", str(out)] if json_flag else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    diagnostic = json.loads(out.read_text() if json_flag else captured.out)
+    assert diagnostic["error"]["kind"] == "usage_error"
+    assert diagnostic["error"]["message"] == captured.err.removeprefix("usage error: ").rstrip("\n")
+
+
 @pytest.mark.parametrize(
     ("text", "max_degree", "message"),
     [
