@@ -1,12 +1,13 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 parse or usage error (a frame file that cannot be
-read as UTF-8 text, an option that does not fit the frame, an
-ARS_MAX_DEGREE that is not an integer >= 1, or codims n < 2), 3
-rank-condition failure, 4 the coordinates are not privileged for the
-weights, 5 degenerate approximation (the report is still written), 6 a
-bracket exceeded the degree cap ARS_MAX_DEGREE.  Every exit 2, 3, 4 and 6
-prints one ``label: message`` line on stderr and writes a JSON diagnostic.
+read as UTF-8 text, a --json path that cannot be written, an option that
+does not fit the frame, an ARS_MAX_DEGREE that is not an integer >= 1, or
+codims n < 2), 3 rank-condition failure, 4 the coordinates are not
+privileged for the weights, 5 degenerate approximation (the report is still
+written), 6 a bracket exceeded the degree cap ARS_MAX_DEGREE.  Every exit
+2, 3, 4 and 6 prints one ``label: message`` line on stderr and writes a
+JSON diagnostic, to stdout when the --json path cannot be written.
 """
 
 from __future__ import annotations
@@ -103,13 +104,20 @@ _ANALYZE_FAILURES = {
 
 
 def _fail(label: str, code: int, exc: Exception, json_out: str | None) -> int:
-    """Print ``label: exc``, write a diagnostic of kind label in snake case with any partial report; return code."""
-    print(f"{label}: {exc}", file=sys.stderr)
+    """Print ``label: exc``, write a diagnostic of kind label in snake case with any partial report; return code.
+
+    When json_out cannot be written, that is the failure reported instead:
+    a usage error whose diagnostic goes to stdout.
+    """
     payload = {"schema": REPORT_SCHEMA, "error": {"kind": label.replace(" ", "_"), "message": str(exc)}}
     report = getattr(exc, "report", None)
     if report is not None:
         payload["partial"] = report.to_json_dict()
-    _write_json(payload, json_out)
+    try:
+        _write_json(payload, json_out)
+    except OSError as unwritable:
+        return _fail("usage error", EXIT_USAGE, unwritable, None)
+    print(f"{label}: {exc}", file=sys.stderr)
     return code
 
 
@@ -155,7 +163,10 @@ def _run_analysis(args, command: str) -> int:
     payload = report.to_json_dict()
     if command != "analyze":
         payload = _trim_payload(payload, command)
-    _write_json(payload, args.json_out)
+    try:
+        _write_json(payload, args.json_out)
+    except OSError as exc:
+        return _fail("usage error", EXIT_USAGE, exc, None)
     if args.json_out:
         _print_summary(report, command)
     if report.approximation is not None and report.approximation.degenerate:
@@ -203,7 +214,10 @@ def main(argv: list[str] | None = None) -> int:
             table = genericity_codims(args.n)
         except ValueError as exc:
             return _fail("usage error", EXIT_USAGE, exc, args.json_out)
-        _write_json(table, args.json_out)
+        try:
+            _write_json(table, args.json_out)
+        except OSError as exc:
+            return _fail("usage error", EXIT_USAGE, exc, None)
         return EXIT_OK
     return _run_analysis(args, args.command)
 

@@ -11,6 +11,16 @@ point of the corank-1 stratum Z_1.  :func:`stratify_samples` reads corank 0
 off the determinant, ranks only its zero set, and adds one sample per root
 of the determinant on each random line: exact at a rational root, and
 approximate (floats, on Z_1) at an irrational one.
+
+The sampler works in Python integers.  The determinant is held once per
+call as integer terms over one denominator, so a sample p/q is tested by
+an integer sum, and a line restriction is built from the integer
+polynomials p_i + t q_i d_i, whose coefficients over one denominator give
+the floats of the bisection, bit for bit those of ``float(Fraction)``.
+Rational roots of degree <= 2 (after the square-free reduction) are solved
+in closed form with ``math.isqrt``; above that the divisors of the constant
+term are tried only up to Fujiwara's root bound, so no search runs past the
+size of the roots.
 """
 
 from __future__ import annotations
@@ -122,73 +132,168 @@ def tangency_check(frame: Frame, point: Sequence) -> bool:
     return all(sum(a * b for a, b in zip(grad, f._evaluate(pt))) == 0 for f in frame.fields)
 
 
+def _default_ratios(rng: random.Random, dim: int) -> list[tuple[int, int]]:
+    """The coordinates of a default sample as (numerator, denominator) pairs, not in lowest terms."""
+    return [(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(dim)]
+
+
 def default_sampler(rng: random.Random, dim: int) -> Point:
     """Random rational point with small numerators and denominators."""
-    return tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(dim))
+    return tuple(Fraction(p, q) for p, q in _default_ratios(rng, dim))
 
 
-def _divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of f by g over Q; coefficients lowest degree first, g[-1] nonzero."""
-    rem, quot = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+class _IntegerForm:
+    """A polynomial over Q on one denominator: p = (1/scale) * sum of a_e x^e, a_e integers.
+
+    ``tops[i]`` is the largest power of x_i in p.  At a point whose
+    coordinates are ratios p_i/q_i of integers, q_i > 0 and not necessarily
+    in lowest terms, sum a_e prod p_i^e_i q_i^(tops[i] - e_i) is p's value
+    times the positive integer scale * prod q_i^tops[i]; so the sampler
+    decides p = 0 and restricts p to lines without forming a Fraction.
+    """
+
+    def __init__(self, poly: Polynomial):
+        self.scale = math.lcm(*(c.denominator for c in poly.terms.values()))
+        self.tops = [max((e[i] for e in poly.terms), default=0) for i in range(poly.dim)]
+        self.degree = poly.total_degree()
+        active = [i for i, top in enumerate(self.tops) if top]
+        # each term as its integer coefficient and (i, e_i, tops[i] - e_i) per variable of p
+        self.terms = [
+            (c.numerator * (self.scale // c.denominator), [(i, e[i], self.tops[i] - e[i]) for i in active])
+            for e, c in poly.terms.items()
+        ]
+
+    def vanishes_at(self, ratios: Sequence[tuple[int, int]]) -> bool:
+        """True iff p is 0 at the point whose coordinates are the ratios p_i/q_i, q_i > 0."""
+        total = 0
+        for a, powers in self.terms:
+            for i, k, rest in powers:
+                p, q = ratios[i]
+                a *= p**k * q**rest
+            total += a
+        return total == 0
+
+    def on_line(self, base: Sequence[tuple[int, int]], direction: Sequence[int]) -> tuple[list[int], int]:
+        """Integers A_k, lowest degree first, and S > 0 with p(base + t*direction) = sum (A_k / S) t^k.
+
+        The base point's coordinates are the ratios p_i/q_i, q_i > 0.  The
+        restriction is built from the integer polynomials p_i + t q_i d_i;
+        the zero restriction has no coefficients.
+        """
+
+        @functools.cache
+        def power(i: int, k: int, rest: int) -> list[int]:
+            """(p_i + t q_i d_i)^k q_i^rest, lowest degree first."""
+            p, q = base[i]
+            s = q * direction[i]
+            return [math.comb(k, j) * p ** (k - j) * s**j * q**rest for j in range(k + 1)]
+
+        coeffs = [0] * (self.degree + 1)
+        for a, powers in self.terms:
+            poly = [a]
+            for key in powers:
+                factor = power(*key)
+                prod = [0] * (len(poly) + len(factor) - 1)
+                for j, x in enumerate(poly):
+                    for m, y in enumerate(factor):
+                        prod[j + m] += x * y
+                poly = prod
+            for j, c in enumerate(poly):
+                coeffs[j] += c
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return coeffs, self.scale * math.prod(q**top for (_, q), top in zip(base, self.tops))
+
+
+def _primitive(coeffs: Sequence) -> list[int]:
+    """The rational coefficients as coprime integers with the same roots; zero leading terms dropped."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    g = math.gcd(*ints) or 1
+    ints = [c // g for c in ints]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    return ints
+
+
+def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a^k f by g over Z, a = g[-1] != 0, k = deg f - deg g + 1; lowest degree first.
+
+    The remainder keeps its zero leading terms.
+    """
+    rem, quot = list(f), [0] * max(len(f) - len(g) + 1, 0)
     for s in reversed(range(len(quot))):
-        c = quot[s] = rem[s + len(g) - 1] / g[-1]
+        c = rem[s + len(g) - 1]
+        quot = [x * g[-1] for x in quot]
+        quot[s] = c
+        rem = [x * g[-1] for x in rem]
         for i, b in enumerate(g):
             rem[s + i] -= c * b
-    rem = rem[: len(g) - 1]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+    return quot, rem[: len(g) - 1]
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a univariate polynomial with Fraction coefficients.
+def _root_bound(ints: list[int]) -> int:
+    """A power of two B >= |r| for every root r of the integer coefficients, lowest degree first.
 
-    The candidates are tested on the square-free part f / gcd(f, f'), which
-    has the same roots, each once: a power such as (b + d t)^40 is reduced
-    to its base before the divisors of its constant term are enumerated.
+    Fujiwara's bound 2 max_i |a_(n-i) / a_n|^(1/i), with each ratio below
+    2^b, b the bit length of its floor plus one, and so its i-th root below
+    2^ceil(b / i).
     """
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return []
-    if len(coeffs) > 2:
-        gcd, rest = coeffs, [k * c for k, c in enumerate(coeffs) if k]
+    n, an = len(ints) - 1, abs(ints[-1])
+    return 2 << max(-(-(abs(ints[n - i]) // an + 1).bit_length() // i) for i in range(1, n + 1))
+
+
+def _divisors(v: int, limit: int) -> list[int]:
+    """The divisors of v > 0 up to limit, by trial division up to min(sqrt(v), limit)."""
+    out = set()
+    for d in range(1, min(math.isqrt(v), limit) + 1):
+        if v % d == 0:
+            out.update(x for x in (d, v // d) if x <= limit)
+    return sorted(out)
+
+
+def _rational_roots(coeffs: Sequence) -> list[Fraction]:
+    """All rational roots, sorted and each once, of a univariate polynomial with rational coefficients.
+
+    Up to degree 2 the roots are solved in closed form.  Above, they are
+    read off the square-free part f / gcd(f, f'), computed over Z, which
+    has the same roots each once: a power such as (b + d t)^40 is reduced to
+    its base, whose roots are again solved in closed form.
+
+    A square-free part of degree >= 3 has its reduced roots p/q among
+    p | a_0 and q | a_n.  Fujiwara's bound B on the roots and B' on their
+    inverses, the roots of the reversed polynomial, give p <= B q and
+    q <= B' p, so only the divisors of a_0 up to B a_n and of a_n up to
+    B' a_0 are tried.
+    """
+    ints = _primitive(coeffs)
+    if len(ints) > 3:
+        # gcd(f, f') by primitive pseudo-remainders; a^k f / gcd has the roots of f / gcd
+        gcd, rest = ints, [k * c for k, c in enumerate(ints) if k]
         while rest:
-            gcd, rest = rest, _divmod(gcd, rest)[1]
-        coeffs = _divmod(coeffs, gcd)[0]
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * lcm) for c in coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    # strip zero roots
-    roots = []
-    shift = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-    if not ints or len(ints) == 1:
-        return roots
+            gcd, rest = rest, _primitive(_pseudo_divmod(gcd, rest)[1])
+        ints = _primitive(_pseudo_divmod(ints, gcd)[0])
+    if len(ints) == 2:
+        return [Fraction(-ints[0], ints[1])]
+    if len(ints) == 3:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        root = math.isqrt(disc) if disc >= 0 else -1
+        return sorted({Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)}) if root * root == disc else []
+    if len(ints) < 2:
+        return []
+    # square-free of degree >= 3: 0 is at most a simple root
+    roots = [Fraction(0)] if ints[0] == 0 else []
+    ints = ints[1:] if ints[0] == 0 else ints
     a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(v: int) -> list[int]:
-        out = []
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.append(d)
-                out.append(v // d)
-            d += 1
-        return sorted(set(out))
-
-    # a reduced root p/q has p | a0 and q | an; q^n P(p/q) = sum c_i p^i q^(n-i)
-    # is evaluated by Horner's rule in integers
+    bound, co_bound = _root_bound(ints), _root_bound(ints[::-1])
+    numerators = _divisors(a0, bound * an)
+    # q^n P(p/q) = sum c_i p^i q^(n-i) is evaluated by Horner's rule in integers
     low_first = ints[:-1][::-1]
-    for q in divisors(an):
+    for q in _divisors(an, co_bound * a0):
         q_powers = [q**i for i in range(1, len(ints))]
-        for p in divisors(a0):
-            if math.gcd(p, q) != 1:
+        for p in numerators:
+            if p > bound * q or q > co_bound * p or math.gcd(p, q) != 1:
                 continue
             for num in (p, -p):
                 val = ints[-1]
@@ -199,9 +304,17 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _float_roots(coeffs: list[Fraction], known: list[Fraction], span: float = 40.0) -> list[float]:
-    """Real roots found by sign-change bisection, excluding known rationals."""
-    cs = [float(c) for c in coeffs]
+# the 401 points of the sign-change grid on [-40, 40]
+_GRID = tuple(-40.0 + 2 * 40.0 * i / 400 for i in range(401))
+
+
+def _float_roots(cs: list[float], known: list[Fraction]) -> list[float]:
+    """Real roots in [-40, 40] found by sign-change bisection, excluding known rationals.
+
+    The grid is evaluated in one Horner pass.  Bisection stops when the
+    midpoint equals an endpoint: from there on no step changes the
+    interval's midpoint, which is the root returned.
+    """
     if len(cs) < 2:
         return []
 
@@ -211,19 +324,19 @@ def _float_roots(coeffs: list[Fraction], known: list[Fraction], span: float = 40
             acc = acc * t + c
         return acc
 
-    grid = 400
+    values = [cs[-1]] * len(_GRID)
+    for c in reversed(cs[:-1]):
+        values = [v * t + c for v, t in zip(values, _GRID)]
     found: list[float] = []
-    prev_t = -span
-    prev_v = val(prev_t)
-    for i in range(1, grid + 1):
-        t = -span + 2 * span * i / grid
-        v = val(t)
+    for prev_t, t, prev_v, v in zip(_GRID, _GRID[1:], values, values[1:]):
         if prev_v == 0.0:
             found.append(prev_t)
         elif prev_v * v < 0:
             lo, hi, flo = prev_t, t, prev_v
             for _ in range(80):
                 mid = (lo + hi) / 2
+                if mid == lo or mid == hi:
+                    break
                 fm = val(mid)
                 if fm == 0.0:
                     lo = hi = mid
@@ -233,12 +346,7 @@ def _float_roots(coeffs: list[Fraction], known: list[Fraction], span: float = 40
                 else:
                     lo, flo = mid, fm
             found.append((lo + hi) / 2)
-        prev_t, prev_v = t, v
-    out = []
-    for t in found:
-        if all(abs(t - float(r)) > 1e-7 for r in known):
-            out.append(t)
-    return out
+    return [t for t in found if all(abs(t - float(r)) > 1e-7 for r in known)]
 
 
 def stratify_samples(
@@ -262,29 +370,35 @@ def stratify_samples(
         raise ValueError("budget must be at least 1")
     n = frame.dim
     rng = random.Random(seed)
-    draw = (lambda: sampler(rng)) if sampler is not None else (lambda: default_sampler(rng, n))
-    detp = frame_determinant(frame)
+    # each sample as (numerator, denominator) pairs; a Fraction is formed only at a hit
+    draw = (
+        (lambda: [(x.numerator, x.denominator) for x in as_point(sampler(rng), n)])
+        if sampler is not None
+        else (lambda: _default_ratios(rng, n))
+    )
+    detp = _IntegerForm(frame_determinant(frame))
 
     hits: dict[int, list[StratumHit]] = {}
     for _ in range(budget):
-        pt = as_point(draw(), n)
-        if detp._evaluate(pt) == 0:
+        sample = draw()
+        if detp.vanishes_at(sample):
             # an n x n matrix has full rank exactly where its determinant is nonzero
+            pt = tuple(Fraction(p, q) for p, q in sample)
             hits.setdefault(corank_at(frame, pt), []).append(StratumHit(pt, True))
     random_hit_coranks = set(hits)
 
     line_roots: list[StratumHit] = []
     for _ in range(max(4, min(24, budget // 10)) if line_search else 0):
-        base = as_point(draw(), n)
-        direction = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
+        base = draw()
+        direction = [rng.randint(-5, 5) for _ in range(n)]
         if any(direction):
-            # the determinant on base + t*direction; a zero restriction has no coefficients
-            line_poly = detp.affine_substituted(base, direction, [0] * n, 1)
-            coeffs = [line_poly.terms.get((d,), Fraction(0)) for d in range(line_poly.total_degree() + 1)]
-            rroots = _rational_roots(list(coeffs))
-            # a Fraction root gives an exact point, a float root an approximate one
-            for t in rroots + _float_roots(list(coeffs), rroots):
-                point = tuple(b + t * d for b, d in zip(base, direction))
+            # the determinant on base + t*direction, as integers over one denominator
+            coeffs, denom = detp.on_line(base, direction)
+            rroots = _rational_roots(coeffs)
+            # a Fraction root gives an exact point, a float root an approximate one;
+            # int / int is correctly rounded, as float(Fraction) is
+            for t in rroots + _float_roots([c / denom for c in coeffs], rroots):
+                point = tuple(Fraction(p, q) + t * d for (p, q), d in zip(base, direction))
                 line_roots.append(StratumHit(point, isinstance(t, Fraction)))
     # the determinant vanishes at a rational root, so its corank is at least 1
     for hit in line_roots:

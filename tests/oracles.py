@@ -273,6 +273,49 @@ def naive_sample_coranks(frame, budget: int, seed: int, sampler=None) -> dict:
 # determinant oracles
 
 
+def naive_float_roots(coeffs: list[Fraction], known: list[Fraction], span: float = 40.0) -> list[float]:
+    """Real roots of the Fraction coefficients (lowest degree first) by sign-change bisection, excluding known rationals.
+
+    The sampler's original loop: each grid point and midpoint is evaluated
+    by its own Horner pass over float(c), and every bisection runs its 80
+    steps unless it meets an exact zero.
+    """
+    cs = [float(c) for c in coeffs]
+    if len(cs) < 2:
+        return []
+
+    def val(t: float) -> float:
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * t + c
+        return acc
+
+    grid = 400
+    found: list[float] = []
+    prev_t = -span
+    prev_v = val(prev_t)
+    for i in range(1, grid + 1):
+        t = -span + 2 * span * i / grid
+        v = val(t)
+        if prev_v == 0.0:
+            found.append(prev_t)
+        elif prev_v * v < 0:
+            lo, hi, flo = prev_t, t, prev_v
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                fm = val(mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fm < 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            found.append((lo + hi) / 2)
+        prev_t, prev_v = t, v
+    return [t for t in found if all(abs(t - float(r)) > 1e-7 for r in known)]
+
+
 def cofactor_det(entries: list[list[Polynomial]]) -> Polynomial:
     """First-row cofactor expansion, no caching."""
     n = len(entries)

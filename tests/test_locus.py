@@ -16,6 +16,8 @@ import ars.locus
 from ars.locus import (
     DegenerateZ1,
     NotOnZ1,
+    _float_roots,
+    _IntegerForm,
     _rational_roots,
     corank_at,
     det_submersion_check,
@@ -28,7 +30,12 @@ from ars.parser import parse_frame
 from ars.pipeline import AnalyzeOptions, analyze
 from ars.symcore import Frame, Polynomial, VectorField
 
-from oracles import frame_cofactor_det, naive_sample_coranks, random_rational_point
+from oracles import (
+    frame_cofactor_det,
+    naive_float_roots,
+    naive_sample_coranks,
+    random_rational_point,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -310,7 +317,8 @@ def small_frame(draw):
     return Frame([f"v{i}" for i in range(dim)], fields)
 
 
-# line search stays off: on random frames _rational_roots can take very long
+# the oracle ranks only the random samples, so line search stays off here;
+# test_line_hits_on_small_frames_lie_on_the_locus runs it
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(small_frame(), st.booleans(), st.integers(0, 2**16))
 def test_sampler_matches_oracle_on_small_frames(frame, on_grid, seed):
@@ -443,13 +451,126 @@ def expand(*factors):
         ([([-6, 5], 3), ([-17, 12], 1)], [Fraction(6, 5), Fraction(17, 12)]),
         ([([1, 1, 1], 2), ([-7, 2], 5), ([4, 1], 1)], [Fraction(-4), Fraction(7, 2)]),
         ([([-2, 0, 1], 3), ([0, 1], 4), ([5, -3], 2)], [Fraction(0), Fraction(5, 3)]),
+        # trial division below the square root of 10^16 + 1 would run to 10^8,
+        # but the root bound stops the search for numerators at 32
+        ([([10**16 + 1] + [0] * 15 + [1], 1)], []),
+        ([([-3, 1], 1), ([10**16 + 1] + [0] * 15 + [1], 1)], [Fraction(3)]),
+        # the reversed polynomials: the bound on the inverse roots stops the
+        # search for denominators at 32
+        ([([1] + [0] * 15 + [10**16 + 1], 1)], []),
+        ([([-1, 3], 1), ([1] + [0] * 15 + [10**16 + 1], 1)], [Fraction(1, 3)]),
     ],
 )
 def test_rational_roots_of_repeated_factors(factors, roots):
-    # the roots are read off the square-free part, whose constant term is small
+    # the roots are read off the square-free part, whose constant term is small,
+    # and candidates are tried only up to the root bound
     coeffs = expand(*((list(map(Fraction, f)), k) for f, k in factors))
     with time_limit(5):
         assert _rational_roots(coeffs) == roots
+
+
+def sympy_rational_roots(sympy, coeffs):
+    """The roots of the linear factors of sympy's factorisation over Q, sorted."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t, domain="QQ")
+    linear = (f.all_coeffs() for f, _ in poly.factor_list()[1] if f.degree() == 1)
+    return sorted({-Fraction(int(b.p), int(b.q)) / Fraction(int(a.p), int(a.q)) for a, b in linear})
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2204)
+    for _ in range(300):
+        # a product of powers of random linear factors and a random cofactor
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(0, 4)):
+            factor = [Fraction(-rng.randint(-12, 12)), Fraction(rng.randint(1, 6))]
+            coeffs = expand((coeffs, 1), (factor, rng.choice([1, 1, 2, 3])))
+        if any(coeffs):
+            assert _rational_roots(coeffs) == sympy_rational_roots(sympy, coeffs), coeffs
+
+
+# --- the sampler's integer arithmetic against its Fraction form ---------------------------
+
+
+def vanishing_det_frame():
+    """d/dx, 2 d/dx: the determinant is the zero polynomial."""
+    return Frame(("x", "y"), [VectorField.coordinate(2, 0), only_component(2, 0, Polynomial.constant(2, 2))])
+
+
+def check_integer_restriction(det, base, direction):
+    """The integer restriction of det to base + t*direction equals Polynomial.affine_substituted's.
+
+    Exactly as Fractions, and bit for bit as floats; also from base
+    coordinates that are not in lowest terms.
+    """
+    line = det.affine_substituted(base, direction, [0] * det.dim, 1)
+    expected = [line.terms.get((d,), Fraction(0)) for d in range(line.total_degree() + 1)]
+    form = _IntegerForm(det)
+    for scale in (1, 3):
+        coeffs, denom = form.on_line([(b.numerator * scale, b.denominator * scale) for b in base], direction)
+        assert [Fraction(c, denom) for c in coeffs] == expected
+        assert [float.hex(c / denom) for c in coeffs] == [float.hex(float(c)) for c in expected]
+
+
+@pytest.mark.parametrize("name", ["e1_frame", "e2_frame", "e3_frame", "tangential_frame", "vanishing"])
+def test_integer_restriction_matches_substitution(request, name):
+    frame = vanishing_det_frame() if name == "vanishing" else request.getfixturevalue(name)
+    det = frame_determinant(frame)
+    rng = random.Random(name)
+    for _ in range(30):
+        base = [Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(frame.dim)]
+        check_integer_restriction(det, base, [rng.randint(-5, 5) for _ in range(frame.dim)])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_frame(), st.data())
+def test_integer_restriction_matches_substitution_on_small_frames(frame, data):
+    coordinate = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 8))
+    base = data.draw(st.lists(coordinate, min_size=frame.dim, max_size=frame.dim))
+    direction = data.draw(st.lists(st.integers(-5, 5), min_size=frame.dim, max_size=frame.dim))
+    check_integer_restriction(frame_determinant(frame), base, direction)
+
+
+def rational_coefficients(max_size=7):
+    return st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)), max_size=max_size)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(polys_with_known_roots().map(lambda case: case[0]), rational_coefficients()))
+def test_float_roots_match_reference_loop(coeffs):
+    # the grid in one Horner pass and the bisection's early stop return the
+    # reference loop's floats bit for bit
+    known = _rational_roots(coeffs)
+    got = _float_roots([float(c) for c in coeffs], known)
+    assert list(map(float.hex, got)) == list(map(float.hex, naive_float_roots(coeffs, known)))
+
+
+def test_float_roots_keep_the_spurious_root_near_a_triple_root():
+    # -(5t - 6)^3 (12t - 17) / 300, a line restriction of E3's determinant at
+    # seed 0: float noise changes sign 1.2e-5 away from the triple root 6/5,
+    # and the pinned E3 report keeps the resulting approximate hit
+    coeffs = [c / -300 for c in expand(([Fraction(-6), Fraction(5)], 3), ([Fraction(-17), Fraction(12)], 1))]
+    known = _rational_roots(coeffs)
+    assert known == [Fraction(6, 5), Fraction(17, 12)]
+    got = _float_roots([float(c) for c in coeffs], known)
+    assert got and list(map(float.hex, got)) == list(map(float.hex, naive_float_roots(coeffs, known)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_frame(), st.booleans(), st.integers(0, 2**16))
+def test_line_hits_on_small_frames_lie_on_the_locus(frame, on_grid, seed):
+    sampler = grid_sampler(frame.dim) if on_grid else None
+    with time_limit(5):
+        reports = stratify_samples(frame, 40, seed=seed, sampler=sampler)
+    det = frame_determinant(frame)
+    assert len({rep.sample_count for rep in reports}) == 1 and reports[0].sample_count >= 40
+    for rep in reports:
+        for hit in rep.hits:
+            if hit.exact:
+                assert det.evaluate(hit.point) == 0 and corank_at(frame, hit.point) == rep.r >= 1
+            else:
+                assert rep.r == 1
 
 
 def test_high_power_stratification_finishes():

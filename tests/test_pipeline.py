@@ -302,21 +302,37 @@ def test_cli_exit_code_usage_error(tmp_path, capsys, monkeypatch, flags, max_deg
     assert json.loads(out.read_text())["error"]["kind"] == "usage_error"
 
 
-@pytest.mark.parametrize("json_flag", [True, False], ids=["json_file", "stdout"])
+# the --json option of each target; an unwritable path is itself a usage
+# error, whose diagnostic goes to stdout
+JSON_TARGETS = {
+    "json_file": ["--json", "diag.json"],
+    "stdout": [],
+    "json_is_dir": ["--json", "."],
+    "json_dir_missing": ["--json", "missing/diag.json"],
+}
+FAILING_ARGV = {
+    "missing_file": ["analyze", "missing.frame"],
+    "not_utf8": ["analyze", "latin1.frame"],
+    "codims_below_2": ["codims", "1"],
+}
+RUNNING_ARGV = {"analyze_e1": ["analyze", "e1.frame"], "codims_3": ["codims", "3"]}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["analyze", "missing.frame"], ["analyze", "latin1.frame"], ["codims", "1"]],
-    ids=["missing_file", "not_utf8", "codims_below_2"],
+    ("argv", "target"),
+    [pytest.param(argv, target, id=f"{name}-{target}") for name, argv in FAILING_ARGV.items() for target in JSON_TARGETS]
+    + [pytest.param(argv, target, id=f"{name}-{target}") for name, argv in RUNNING_ARGV.items()
+       for target in ("json_is_dir", "json_dir_missing")],
 )
-def test_cli_usage_error_writes_diagnostic(tmp_path, capsys, monkeypatch, argv, json_flag):
+def test_cli_usage_error_writes_diagnostic(tmp_path, capsys, monkeypatch, argv, target):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "latin1.frame").write_bytes(b"vars x\xe9\n")
-    out = tmp_path / "diag.json"
-    assert main([*argv, *(["--json", str(out)] if json_flag else [])]) == 2
+    (tmp_path / "e1.frame").write_text(E1_TEXT)
+    assert main([*argv, *JSON_TARGETS[target]]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
-    diagnostic = json.loads(out.read_text() if json_flag else captured.out)
+    diagnostic = json.loads((tmp_path / "diag.json").read_text() if target == "json_file" else captured.out)
     assert diagnostic["error"]["kind"] == "usage_error"
     assert diagnostic["error"]["message"] == captured.err.removeprefix("usage error: ").rstrip("\n")
 
