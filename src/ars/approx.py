@@ -40,7 +40,7 @@ class ApproximationSet:
     tilde_fields: tuple[VectorField, ...]
     k: int
     m: int
-    transform: tuple[tuple[Fraction, ...], ...]
+    transform: tuple[tuple[int | Fraction, ...], ...]
     degenerate: bool
     weights: Weights
     source_order: tuple[int, ...]
@@ -115,7 +115,7 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
     sel_values = [at_origin[i] for i in selected]
 
     # step 2: row i of the transform combines the originals into field i
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     hat_fields = [hats[i] for i in selected]
     span = SpanBasis()
     for h in hat_fields:

@@ -86,10 +86,10 @@ class LieBasis:
     def contains(self, X: VectorField) -> bool:
         return self._span.contains(X.terms)
 
-    def member(self, X: VectorField) -> tuple[Fraction, ...] | None:
+    def member(self, X: VectorField) -> tuple[int | Fraction, ...] | None:
         """Coordinates of X in ``basis``, or None when X is outside the span."""
         coords = self._span.coordinates(X.terms)
-        return None if coords is None else tuple(coords.get(k, Fraction(0)) for k in range(len(self.basis)))
+        return None if coords is None else tuple(coords.get(k, 0) for k in range(len(self.basis)))
 
     def orders(self, weights: Sequence[int]) -> tuple[int, ...]:
         """Order of each basis element under the weights: the one record of the grading.
@@ -355,7 +355,7 @@ def graded_frame(G: LieBasis, weights: Sequence[int]) -> tuple[VectorField, ...]
         for idx, j in enumerate(coords):
             # a candidate dependent on earlier ones is dependent at the origin
             # too, so the greedy solve gives it coefficient zero
-            coeffs = solve_combination(values, [Fraction(int(i == idx)) for i in range(len(coords))])
+            coeffs = solve_combination(values, [int(i == idx) for i in range(len(coords))])
             if coeffs is None:
                 raise GradedFrameUnavailable(
                     f"no homogeneous element of order {-level} hits coordinate {j} at the origin"

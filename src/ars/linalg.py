@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on plain ``fractions.Fraction`` values so that rank,
-membership and solving decisions are never subject to rounding.
+Entries are exact rationals, an ``int`` when integral and a
+``fractions.Fraction`` otherwise, as :func:`ars.symcore.as_coefficient`
+gives them, so that rank, membership and solving decisions are never
+subject to rounding; the one division, by a pivot, is the exact
+:func:`ars.symcore.quotient`.
 :class:`SpanBasis` is the one elimination kernel: it reduces sparse vectors
 keyed by comparable keys (a monomial of one component for vector fields, an
 index for coordinate vectors), and gives coordinates in its basis sparse,
@@ -14,13 +17,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
+from .symcore import as_coefficient, quotient
+
 
 def _row_vec(row: Iterable[Fraction], tag: int | None = None) -> dict:
     """Sparse form of a dense row, keyed by column or by ``(tag, column)``.
 
-    Entries become Fractions here, so the dense routines stay exact on ints.
+    Entries become coefficients here, so the dense routines stay exact on ints
+    and refuse floats.
     """
-    return {i if tag is None else (tag, i): Fraction(x) for i, x in enumerate(row) if x != 0}
+    return {i if tag is None else (tag, i): as_coefficient(x) for i, x in enumerate(row) if x != 0}
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -70,21 +76,22 @@ def solve_combination(
     span = SpanBasis()
     for a, vec in enumerate(vectors):
         tagged = _row_vec(vec[: len(target)], tag=1)
-        tagged[(0, a)] = Fraction(1)
+        tagged[(0, a)] = 1
         span.insert(tagged)
     rest = span.reduce(_row_vec(target, tag=1))
     if any(key[0] == 1 for key in rest):
         return None
-    return [-rest.get((0, a), Fraction(0)) for a in range(len(vectors))]
+    return [-Fraction(rest.get((0, a), 0)) for a in range(len(vectors))]
 
 
 class SpanBasis:
     """Reduced echelon basis of a span of sparse rational vectors.
 
-    Vectors are dicts mapping comparable keys to nonzero Fractions.  Rows are
-    kept fully reduced (each leading key occurs in exactly one row, with
-    coefficient one), so the stored basis is canonical for the span, and
-    membership coordinates are read off directly.
+    Vectors are dicts mapping comparable keys to nonzero ints and Fractions.
+    Rows are kept fully reduced (each leading key occurs in exactly one row,
+    with coefficient the int 1, and a new row is divided by its pivot through
+    :func:`ars.symcore.quotient`), so the stored basis is canonical for the
+    span, and membership coordinates are read off directly.
     """
 
     def __init__(self) -> None:
@@ -118,7 +125,7 @@ class SpanBasis:
         Rows are fully reduced, so subtracting one never brings in another
         row's leading key: each leading key present in vec is cleared once,
         highest first.  vec is copied, not coerced: its values must already
-        be nonzero Fractions.
+        be nonzero ints or Fractions.
         """
         v = dict(vec)
         for lead in sorted((k for k in v if k in self._rows), reverse=True):
@@ -132,7 +139,7 @@ class SpanBasis:
             return False
         lead = max(v)
         pivot = v[lead]
-        row = {k: c / pivot for k, c in v.items()}
+        row = {k: quotient(c, pivot) for k, c in v.items()}
         # keep full reduction: eliminate the new leading key from old rows
         for other in self._rows.values():
             if lead in other:

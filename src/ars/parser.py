@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .symcore import ArsError, Frame, Polynomial, VectorField
+from .symcore import ArsError, Frame, Polynomial, VectorField, as_coefficient
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _MONOMIAL = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(\^(\d+))?$")
@@ -152,8 +152,8 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
         return VectorField.zero(n)
 
     components = [Polynomial.zero(n) for _ in range(n)]
-    sign = Fraction(1)
-    coef: Fraction | None = None
+    sign = 1
+    coef: int | Fraction | None = None
     exps = [0] * n
     has_factor = False
     started = False
@@ -162,9 +162,9 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
         nonlocal sign, coef, exps, has_factor, started
         if var not in index:
             raise ParseError(f"undeclared variable {var!r}", lineno, tcol)
-        c = sign * (coef if coef is not None else Fraction(1))
+        c = sign * (coef if coef is not None else 1)
         components[index[var]] = components[index[var]] + Polynomial.monomial(n, tuple(exps), c)
-        sign = Fraction(1)
+        sign = 1
         coef = None
         exps = [0] * n
         has_factor = False
@@ -185,7 +185,7 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
         if _RATIONAL.match(tok):
             if coef is not None or has_factor:
                 raise ParseError("coefficient must come first in a term", lineno, tcol)
-            coef = Fraction(tok)
+            coef = as_coefficient(tok)
             started = True
             continue
         mono = _MONOMIAL.match(tok)

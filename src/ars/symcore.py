@@ -1,10 +1,15 @@
 """Exact multivariate polynomials over Q and polynomial vector fields.
 
-All coefficients are ``fractions.Fraction``; no floating point enters any
-computation in this module.  Polynomials are sparse maps from exponent
-vectors to nonzero coefficients, canonically ordered by graded
-lexicographic comparison for printing and hashing.  A vector field is one
-sparse map from (component, exponents) to nonzero coefficients.
+A coefficient is stored as an ``int`` when it is integral and as a
+``fractions.Fraction`` otherwise: :func:`as_coefficient` narrows every value
+a term map is built from, and :func:`quotient` divides exactly, so
+arithmetic on integers never pays for a Fraction (a Fraction result of
+arithmetic is not narrowed again).  Points and values are Fractions.  No
+floating point enters any exact computation in this module.  Polynomials
+are sparse maps from exponent vectors to nonzero coefficients, canonically
+ordered by graded lexicographic comparison for printing and hashing.  A
+vector field is one sparse map from (component, exponents) to nonzero
+coefficients.
 """
 
 from __future__ import annotations
@@ -33,6 +38,20 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def as_coefficient(value) -> int | Fraction:
+    """Coerce like :func:`as_fraction`, then narrow: an int when the value is integral."""
+    c = as_fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """Exact a / b as a coefficient; on two ints it divides exactly, never to a float."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return as_coefficient(a / b)
 
 
 def as_point(values: Sequence, dim: int) -> Point:
@@ -100,7 +119,7 @@ def _accumulate(pairs: Iterable[tuple[Hashable, Fraction]]) -> dict:
 class Polynomial:
     """Sparse polynomial in ``dim`` variables with rational coefficients.
 
-    ``terms`` maps exponent vectors (length ``dim``) to nonzero Fractions;
+    ``terms`` maps exponent vectors (length ``dim``) to nonzero coefficients;
     the zero polynomial has an empty term map.  Instances are immutable by
     convention and hashable.
     """
@@ -120,7 +139,7 @@ class Polynomial:
             return e
 
         self.dim = dim
-        self.terms = _accumulate((exponents(e), as_fraction(c)) for e, c in (terms or {}).items())
+        self.terms = _accumulate((exponents(e), as_coefficient(c)) for e, c in (terms or {}).items())
         self._hash: int | None = None
 
     @classmethod
@@ -138,7 +157,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim: int, value) -> "Polynomial":
-        return cls(dim, {(0,) * dim: as_fraction(value)})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Polynomial":
@@ -146,11 +165,11 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range for dim {dim}")
         exps = [0] * dim
         exps[index] = 1
-        return cls(dim, {tuple(exps): Fraction(1)})
+        return cls(dim, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, dim: int, exps: Sequence[int], coef=1) -> "Polynomial":
-        return cls(dim, {tuple(exps): as_fraction(coef)})
+        return cls(dim, {tuple(exps): coef})
 
     @property
     def is_zero(self) -> bool:
@@ -182,7 +201,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
+            c = as_coefficient(other)
             if c == 0:
                 return Polynomial.zero(self.dim)
             return Polynomial._trusted(self.dim, {e: c * v for e, v in self.terms.items()})
@@ -243,16 +262,17 @@ class Polynomial:
         The result is a polynomial in ``dim`` variables y.  Each power
         (a + b y)^k that occurs is expanded once, by the binomial theorem.
         """
-        offs, scales, targets = as_point(offsets, self.dim), as_point(slopes, self.dim), tuple(targets)
+        offs, scales = ([as_coefficient(x) for x in as_point(v, self.dim)] for v in (offsets, slopes))
+        targets = tuple(targets)
         if len(targets) != self.dim or not all(0 <= t < dim for t in targets):
             raise ValueError(f"expected {self.dim} target indices in range({dim})")
 
         @cache
         def expansion(j: int, k: int) -> list[tuple[int, Fraction]]:
-            a_pows = list(accumulate(repeat(offs[j], k), mul, initial=Fraction(1)))
-            b_pows = list(accumulate(repeat(scales[j], k), mul, initial=Fraction(1)))
+            a_pows = list(accumulate(repeat(offs[j], k), mul, initial=1))
+            b_pows = list(accumulate(repeat(scales[j], k), mul, initial=1))
             binoms = accumulate(range(k), lambda m, i: m * (k - i) // (i + 1), initial=1)
-            return [(i, c) for i, m in enumerate(binoms) if (c := m * a_pows[k - i] * b_pows[i])]
+            return [(i, c) for i, m in enumerate(binoms) if (c := m * b_pows[i] * a_pows[k - i])]
 
         def image(e: Exponents, c: Fraction) -> Iterable[tuple[Exponents, Fraction]]:
             part = {(0,) * dim: c}
@@ -358,7 +378,7 @@ class VectorField:
         """The coordinate field d/dx_index."""
         if not 0 <= index < dim:
             raise ValueError(f"coordinate index {index} out of range for dim {dim}")
-        return cls.from_terms(dim, {(index, (0,) * dim): Fraction(1)})
+        return cls.from_terms(dim, {(index, (0,) * dim): 1})
 
     @property
     def components(self) -> tuple[Polynomial, ...]:
@@ -400,7 +420,7 @@ class VectorField:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
+            c = as_coefficient(other)
             if c == 0:
                 return VectorField.zero(self.dim)
             return VectorField.from_terms(self.dim, {k: c * v for k, v in self.terms.items()})
@@ -510,13 +530,13 @@ def variables_mask(exponents: Iterable[Exponents]) -> int:
     return mask
 
 
-def _applied(X: VectorField, terms: Iterable[tuple[tuple[int, Exponents], Fraction]], sign: int = 1):
-    """Unsummed pairs ``((j, e), c)`` of sign * X applied to each term ``((j, f), a)``.
+def _applied(X: VectorField, terms: Iterable[tuple[tuple[int, Exponents], Fraction]], negate: bool = False):
+    """Unsummed pairs ``((j, e), c)`` of X, or -X when ``negate``, applied to each term ``((j, f), a)``.
 
     X(a x^f) is the sum over X's terms (i, g) -> b of a b f_i x^(f + g - unit_i);
     the tag j passes through.
     """
-    lowered = [(i, g[:i] + (g[i] - 1,) + g[i + 1 :], sign * b) for (i, g), b in X.terms.items()]
+    lowered = [(i, g[:i] + (g[i] - 1,) + g[i + 1 :], -b if negate else b) for (i, g), b in X.terms.items()]
     for (j, f), a in terms:
         for i, g, b in lowered:
             k = f[i]
@@ -536,7 +556,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Lie bracket [X, Y]; component j is X(Y_j) - Y(X_j)."""
     if X.dim != Y.dim:
         raise ValueError(f"dimension mismatch: {X.dim} vs {Y.dim}")
-    pairs = chain(_applied(X, Y.terms.items()), _applied(Y, X.terms.items(), -1))
+    pairs = chain(_applied(X, Y.terms.items()), _applied(Y, X.terms.items(), negate=True))
     return VectorField.from_terms(X.dim, _accumulate(pairs))
 
 
