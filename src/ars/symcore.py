@@ -1,15 +1,14 @@
 """Exact multivariate polynomials over Q and polynomial vector fields.
 
 A coefficient is stored as an ``int`` when it is integral and as a
-``fractions.Fraction`` otherwise: :func:`as_coefficient` narrows every value
-a term map is built from, and :func:`quotient` divides exactly, so
-arithmetic on integers never pays for a Fraction (a Fraction result of
-arithmetic is not narrowed again).  Points and values are Fractions.  No
-floating point enters any exact computation in this module.  Polynomials
-are sparse maps from exponent vectors to nonzero coefficients, canonically
-ordered by graded lexicographic comparison for printing and hashing.  A
-vector field is one sparse map from (component, exponents) to nonzero
-coefficients.
+``fractions.Fraction`` otherwise: :func:`as_coefficient` narrows each value
+a constructor is given, and :func:`quotient` divides exactly, so arithmetic
+on integers stays on ints (a Fraction result of arithmetic is not narrowed
+again).  Points and values are Fractions.  No floating point enters any
+exact computation in this module.  Polynomials are sparse maps from
+exponent vectors to nonzero coefficients, canonically ordered by graded
+lexicographic comparison for printing and hashing.  A vector field is one
+sparse map from (component, exponents) to nonzero coefficients.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ def test_as_coefficient_narrows_to_stored_form(x):
         assert c == Fraction(x) and is_stored_form(c)
 
 
-def test_as_coefficient_refuses_floats():
+def test_as_coefficient_examples():
     assert as_coefficient("-6/3") == -2 and type(as_coefficient("-6/3")) is int
     assert as_coefficient(Fraction(4, 6)) == Fraction(2, 3)
     assert type(as_coefficient(True)) is int
