@@ -71,7 +71,7 @@ def lie_series_flow(
     degrades as |t| grows.  Use :func:`lie_series_flow_result` when the
     truncation bound matters.
     """
-    return _lie_series(X, point, t, weights, truncation_order)[0]
+    return lie_series_flow_result(X, point, t, weights, truncation_order).endpoint
 
 
 def lie_series_flow_result(
@@ -87,11 +87,6 @@ def lie_series_flow_result(
     series terminated on its own (the endpoint is exact), and the applied
     cutoff otherwise.
     """
-    endpoint, truncated_at = _lie_series(X, point, t, weights, truncation_order)
-    return FlowResult(endpoint, "lie_series", False, truncation_order=truncated_at)
-
-
-def _lie_series(X, point, t, weights, truncation_order):
     w = check_weights(weights, X.dim)
     if not check_triangular_complete(X, w):
         raise NonTriangularField("flow series requires a triangular field for these weights")
@@ -122,7 +117,7 @@ def _lie_series(X, point, t, weights, truncation_order):
             t_power = t_power * tt / s
             total += t_power * g.evaluate(pt)
         endpoint.append(total)
-    return tuple(endpoint), (cutoff if truncated else None)
+    return FlowResult(tuple(endpoint), "lie_series", False, truncation_order=cutoff if truncated else None)
 
 
 def rk4_flow(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .symcore import ArsError, Frame, Point, Polynomial, as_point, frame_rank_at
+from .symcore import ArsError, Frame, Point, Polynomial, VectorField, as_point, frame_rank_at, vf_apply
 
 
 class NotOnZ1(ArsError):
@@ -72,15 +72,15 @@ def frame_determinant(frame: Frame) -> Polynomial:
     """Determinant of the matrix whose columns are the frame fields.
 
     Computed by expansion along the rows over column subsets, each minor
-    once; exact over Q.
+    once; exact over Q.  A single column's minor is its last-row entry.
     """
     n = frame.dim
 
     @functools.cache
     def minor(cols: tuple[int, ...]) -> Polynomial:
         """The minor on the last len(cols) rows and the columns cols; entry (i, j) is component i of field j."""
-        if not cols:
-            return Polynomial.constant(n, 1)
+        if len(cols) == 1:
+            return frame.fields[cols[0]].components[n - 1]
         row = n - len(cols)
         total = Polynomial.zero(n)
         for idx, col in enumerate(cols):
@@ -110,7 +110,7 @@ def _z1_gradient(frame: Frame, point: Sequence) -> tuple[Point, list[Fraction]]:
     if corank_at(frame, pt) != 1:
         raise NotOnZ1(f"corank at {_point_text(pt)} is not 1")
     det = frame_determinant(frame)
-    return pt, [det.diff(j)._evaluate(pt) for j in range(frame.dim)]
+    return pt, [vf_apply(VectorField.coordinate(frame.dim, j), det)._evaluate(pt) for j in range(frame.dim)]
 
 
 def det_submersion_check(frame: Frame, point: Sequence) -> bool:

@@ -5,10 +5,16 @@ A coefficient is stored as an ``int`` when it is integral and as a
 a constructor is given, and :func:`quotient` divides exactly, so arithmetic
 on integers stays on ints (a Fraction result of arithmetic is not narrowed
 again).  Points and values are Fractions.  No floating point enters any
-exact computation in this module.  Polynomials are sparse maps from
-exponent vectors to nonzero coefficients, canonically ordered by graded
-lexicographic comparison for printing and hashing.  A vector field is one
-sparse map from (component, exponents) to nonzero coefficients.
+exact computation in this module.
+
+A polynomial and a vector field are both one sparse term map from keys to
+nonzero coefficients: exponent vectors for a polynomial, (component,
+exponents) for a field.  Their shared base defines the sum, difference,
+negation, scalar multiple, equality, hash and trusted constructor
+``from_terms`` once.  Both printers follow one rule (:func:`_signed_sum`)
+over terms in descending graded lexicographic order, a field's grouped by
+component.  :func:`vf_apply` is the one derivative: a partial derivative
+is ``vf_apply(VectorField.coordinate(n, j), f)``.
 """
 
 from __future__ import annotations
@@ -115,15 +121,104 @@ def _accumulate(pairs: Iterable[tuple[Hashable, Fraction]]) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-class Polynomial:
-    """Sparse polynomial in ``dim`` variables with rational coefficients.
+def _signed_sum(terms: Iterable[tuple[int | Fraction, list[str]]], first_minus: str) -> str:
+    """Print terms (c, factors) as 'a - b + c', or '0' when there are none.
 
-    ``terms`` maps exponent vectors (length ``dim``) to nonzero coefficients;
-    the zero polynomial has an empty term map.  Instances are immutable by
-    convention and hashable.
+    A unit coefficient is printed only in a term without factors.  Later
+    terms join with '+ ' or '- '; a negative first term opens with ``first_minus``.
+    """
+    parts = []
+    for c, factors in terms:
+        body = " ".join(factors if factors and abs(c) == 1 else [str(abs(c)), *factors])
+        if c < 0:
+            parts.append(("- " if parts else first_minus) + body)
+        else:
+            parts.append(("+ " if parts else "") + body)
+    return " ".join(parts) or "0"
+
+
+class _TermMap:
+    """A sparse map ``terms`` from keys to nonzero coefficients on R^dim.
+
+    The shared base of :class:`Polynomial` (keyed by exponents) and
+    :class:`VectorField` (keyed by (component, exponents)): both are added,
+    negated, scaled, compared and hashed as term maps.  Instances are
+    immutable by convention; the hash is cached on first use.
     """
 
     __slots__ = ("dim", "terms", "_hash")
+
+    @classmethod
+    def from_terms(cls, dim: int, terms: dict):
+        """Instance owning ``terms``, which must already be a valid term map on R^dim."""
+        out = object.__new__(cls)
+        out.dim = dim
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls, dim: int):
+        return cls.from_terms(dim, {})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check_same_dim(self, other: "_TermMap") -> None:
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_same_dim(other)
+        return self.from_terms(self.dim, _accumulate(chain(self.terms.items(), other.terms.items())))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self.from_terms(self.dim, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        """Scalar multiple by an int or a Fraction."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        c = as_coefficient(other)
+        return self.from_terms(self.dim, {k: c * v for k, v in self.terms.items()} if c else {})
+
+    __rmul__ = __mul__
+
+    def evaluate(self, point: Sequence):
+        """Exact value at a rational point."""
+        return self._evaluate(as_point(point, self.dim))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.dim, frozenset(self.terms.items())))
+            return self._hash
+
+    def __str__(self) -> str:
+        return self.format()
+
+
+class Polynomial(_TermMap):
+    """Sparse polynomial in ``dim`` variables with rational coefficients.
+
+    ``terms`` maps exponent vectors (length ``dim``) to nonzero coefficients;
+    the zero polynomial has an empty term map.
+    """
+
+    __slots__ = ()
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Fraction] | None = None):
         if dim < 1:
@@ -139,20 +234,6 @@ class Polynomial:
 
         self.dim = dim
         self.terms = _accumulate((exponents(e), as_coefficient(c)) for e, c in (terms or {}).items())
-        self._hash: int | None = None
-
-    @classmethod
-    def _trusted(cls, dim: int, terms: dict) -> "Polynomial":
-        """Polynomial owning ``terms``, which must already be a valid term map."""
-        out = cls.__new__(cls)
-        out.dim = dim
-        out.terms = terms
-        out._hash = None
-        return out
-
-    @classmethod
-    def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim, {})
 
     @classmethod
     def constant(cls, dim: int, value) -> "Polynomial":
@@ -170,51 +251,17 @@ class Polynomial:
     def monomial(cls, dim: int, exps: Sequence[int], coef=1) -> "Polynomial":
         return cls(dim, {tuple(exps): coef})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def _check_same_dim(self, other: "Polynomial") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_same_dim(other)
-        return Polynomial._trusted(self.dim, _accumulate(chain(self.terms.items(), other.terms.items())))
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
+        return max((sum(e) for e in self.terms), default=-1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_coefficient(other)
-            if c == 0:
-                return Polynomial.zero(self.dim)
-            return Polynomial._trusted(self.dim, {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            return super().__mul__(other)
         self._check_same_dim(other)
         other_terms = other.terms.items()
         pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in other_terms)
-        return Polynomial._trusted(self.dim, _accumulate(pairs))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        return Polynomial.from_terms(self.dim, _accumulate(pairs))
 
     def __pow__(self, power: int):
         if not isinstance(power, int) or power < 0:
@@ -223,19 +270,6 @@ class Polynomial:
         for _ in range(power):
             result = result * self
         return result
-
-    def diff(self, index: int) -> "Polynomial":
-        """Partial derivative with respect to variable ``index``."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"variable index {index} out of range")
-        # distinct monomials stay distinct, so nothing is summed or cancels
-        i = index
-        terms = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
-        return Polynomial._trusted(self.dim, terms)
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
-        return self._evaluate(as_point(point, self.dim))
 
     def _evaluate(self, pt: Point) -> Fraction:
         """Exact value at ``pt``, which must already be a point of Fractions."""
@@ -286,7 +320,7 @@ class Polynomial:
             return part.items()
 
         pairs = chain.from_iterable(image(e, c) for e, c in self.terms.items())
-        return Polynomial._trusted(dim, _accumulate(pairs))
+        return Polynomial.from_terms(dim, _accumulate(pairs))
 
     def shifted(self, offsets: Sequence) -> "Polynomial":
         """Substitute x_j -> x_j + offsets[j]."""
@@ -295,42 +329,17 @@ class Polynomial:
             return self
         return self.affine_substituted(offs, [1] * self.dim, range(self.dim), self.dim)
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in descending graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
     def format(self, names: Sequence[str] | None = None) -> str:
-        if self.is_zero:
-            return "0"
+        """Terms in descending graded lexicographic order, e.g. 'x^2 + y - 3'."""
         names = list(names) if names is not None else [f"x{i+1}" for i in range(self.dim)]
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = _monomial_factors(names, e)
-            body = " ".join(factors if factors and abs(c) == 1 else [str(abs(c))] + factors)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self.terms.items())))
-        return self._hash
-
-    def __str__(self) -> str:
-        return self.format()
+        order = sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        return _signed_sum(((c, _monomial_factors(names, e)) for e, c in order), "-")
 
     def __repr__(self) -> str:
         return f"Polynomial({self.dim}, {self.format()!r})"
 
 
-class VectorField:
+class VectorField(_TermMap):
     """Polynomial vector field on R^dim.
 
     ``terms`` maps ``(j, exponents)`` to the nonzero coefficient of
@@ -339,10 +348,10 @@ class VectorField:
     ``support`` is the pair of bitmasks (dir, var): bit j of dir is set when
     the field has a component along d/dx_j, bit i of var when a coefficient
     depends on x_i.  :func:`commute_by_support` reads them to skip brackets
-    that vanish for want of overlap.
+    that vanish for want of overlap.  Both are computed on first use.
     """
 
-    __slots__ = ("dim", "terms", "_components", "_support", "_hash")
+    __slots__ = ("_components", "_support")
 
     def __init__(self, components: Sequence[Polynomial]):
         comps = tuple(components)
@@ -353,24 +362,7 @@ class VectorField:
             raise ValueError("component count and dimensions must all match")
         self.dim = dim
         self.terms = {(j, e): c for j, comp in enumerate(comps) for e, c in comp.terms.items()}
-        self._components: tuple[Polynomial, ...] | None = comps
-        self._support: tuple[int, int] | None = None
-        self._hash: int | None = None
-
-    @classmethod
-    def from_terms(cls, dim: int, terms: dict) -> "VectorField":
-        """Field owning ``terms``, which must already be a valid term map on R^dim."""
-        X = cls.__new__(cls)
-        X.dim = dim
-        X.terms = terms
-        X._components = None
-        X._support = None
-        X._hash = None
-        return X
-
-    @classmethod
-    def zero(cls, dim: int) -> "VectorField":
-        return cls.from_terms(dim, {})
+        self._components = comps
 
     @classmethod
     def coordinate(cls, dim: int, index: int) -> "VectorField":
@@ -381,54 +373,26 @@ class VectorField:
 
     @property
     def components(self) -> tuple[Polynomial, ...]:
-        if self._components is None:
+        try:
+            return self._components
+        except AttributeError:
             per: list[dict] = [{} for _ in range(self.dim)]
             for (j, e), c in self.terms.items():
                 per[j][e] = c
-            self._components = tuple(Polynomial._trusted(self.dim, t) for t in per)
-        return self._components
+            self._components = tuple(Polynomial.from_terms(self.dim, t) for t in per)
+            return self._components
 
     @property
     def support(self) -> tuple[int, int]:
         """Bitmasks (dir, var) of the directions and the variables of the field."""
-        if self._support is None:
+        try:
+            return self._support
+        except AttributeError:
             directions = 0
             for j, _ in self.terms:
                 directions |= 1 << j
             self._support = (directions, variables_mask(e for _, e in self.terms))
-        return self._support
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return VectorField.from_terms(self.dim, _accumulate(chain(self.terms.items(), other.terms.items())))
-
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return VectorField.from_terms(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_coefficient(other)
-            if c == 0:
-                return VectorField.zero(self.dim)
-            return VectorField.from_terms(self.dim, {k: c * v for k, v in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def evaluate(self, point: Sequence) -> Point:
-        return self._evaluate(as_point(point, self.dim))
+            return self._support
 
     def _evaluate(self, pt: Point) -> Point:
         """Exact value at ``pt``, which must already be a point of Fractions; one pass over ``terms``."""
@@ -445,33 +409,13 @@ class VectorField:
         return VectorField([c.shifted(offsets) for c in self.components])
 
     def format(self, names: Sequence[str] | None = None) -> str:
-        """Expression in the frame description language, e.g. 'x d/dy'."""
-        if self.is_zero:
-            return "0"
+        """Expression in the frame description language, e.g. 'x d/dy'.
+
+        Terms are ordered by component, then in descending graded lexicographic order.
+        """
         names = list(names) if names is not None else [f"x{i+1}" for i in range(self.dim)]
-        parts = []
-        for j, comp in enumerate(self.components):
-            for e, c in comp.sorted_terms():
-                coef = [str(abs(c))] if abs(c) != 1 else []
-                body = " ".join(coef + _monomial_factors(names, e) + [f"d/d{names[j]}"])
-                if not parts:
-                    parts.append(("- " if c < 0 else "") + body)
-                else:
-                    parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self.terms.items())))
-        return self._hash
-
-    def __str__(self) -> str:
-        return self.format()
+        order = sorted(self.terms.items(), key=lambda t: (-t[0][0], *_grlex_key(t[0][1])), reverse=True)
+        return _signed_sum(((c, [*_monomial_factors(names, e), f"d/d{names[j]}"]) for (j, e), c in order), "- ")
 
     def __repr__(self) -> str:
         return f"VectorField({self.format()!r})"
@@ -548,7 +492,7 @@ def vf_apply(X: VectorField, f: Polynomial) -> Polynomial:
     if X.dim != f.dim:
         raise ValueError(f"dimension mismatch: field {X.dim} vs polynomial {f.dim}")
     pairs = _applied(X, (((0, e), c) for e, c in f.terms.items()))
-    return Polynomial._trusted(f.dim, {e: c for (_, e), c in _accumulate(pairs).items()})
+    return Polynomial.from_terms(f.dim, {e: c for (_, e), c in _accumulate(pairs).items()})
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -573,13 +517,6 @@ def commute_by_support(X: VectorField, Y: VectorField) -> bool:
 def linear_combination(pairs: Iterable[tuple[Fraction, VectorField]], dim: int) -> VectorField:
     """The field sum c X over the pairs (c, X) on R^dim, summed in one pass; zero c are skipped."""
     return VectorField.from_terms(dim, _accumulate((key, c * a) for c, X in pairs if c for key, a in X.terms.items()))
-
-
-def vf_eval(X: VectorField, point: Sequence) -> Point:
-    """Exact evaluation of X at a rational point."""
-    if len(point) != X.dim:
-        raise ValueError(f"dimension mismatch: field {X.dim} vs point {len(point)}")
-    return X.evaluate(point)
 
 
 def frame_rank_at(fields: Sequence[VectorField], point: Sequence) -> int:

@@ -89,6 +89,49 @@ def naive_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
+# reference printers: the per-component loops the term-map printers replaced
+
+
+def _reference_sorted_terms(p: Polynomial) -> list:
+    return sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def _reference_factors(names, exps) -> list[str]:
+    return [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exps) if k]
+
+
+def reference_poly_format(p: Polynomial, names=None) -> str:
+    if p.is_zero:
+        return "0"
+    names = list(names) if names is not None else [f"x{i+1}" for i in range(p.dim)]
+    parts = []
+    for e, c in _reference_sorted_terms(p):
+        factors = _reference_factors(names, e)
+        body = " ".join(factors if factors and abs(c) == 1 else [str(abs(c))] + factors)
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)
+
+
+def reference_field_format(X: VectorField, names=None) -> str:
+    if X.is_zero:
+        return "0"
+    names = list(names) if names is not None else [f"x{i+1}" for i in range(X.dim)]
+    parts = []
+    for j, comp in enumerate(X.components):
+        for e, c in _reference_sorted_terms(comp):
+            coef = [str(abs(c))] if abs(c) != 1 else []
+            body = " ".join(coef + _reference_factors(names, e) + [f"d/d{names[j]}"])
+            if not parts:
+                parts.append(("- " if c < 0 else "") + body)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
 # dense rank over a fixed monomial enumeration
 
 

@@ -15,7 +15,6 @@ from ars.symcore import (
     lie_bracket,
     linear_combination,
     vf_apply,
-    vf_eval,
 )
 
 from oracles import (
@@ -27,6 +26,8 @@ from oracles import (
     naive_poly_eval,
     naive_substitute,
     poly_to_dict,
+    reference_field_format,
+    reference_poly_format,
 )
 
 
@@ -261,8 +262,10 @@ def test_field_constructors_agree(fields):
     X, Y, _ = fields
     reordered = VectorField.from_terms(X.dim, dict(reversed(list(X.terms.items()))))
     bracket = lie_bracket(X, Y)
+    p = X.components[0] * Y.components[-1] + X.components[-1]
     for built, same in [
         (reordered, X),
+        (Polynomial.from_terms(p.dim, dict(reversed(list(p.terms.items())))), p),
         (VectorField(bracket.components), bracket),
         (naive_bracket(X, Y), bracket),
     ]:
@@ -277,6 +280,38 @@ def test_components_round_trip(fields):
     for field in (X, lie_bracket(Y, Z), X - Fraction(2, 3) * Y):
         assert VectorField(field.components) == field
         assert VectorField.from_terms(field.dim, dict(field.terms)).components == field.components
+
+
+unit_or_any = st.sampled_from([1, -1]) | coeffs
+
+
+@st.composite
+def printable(draw, max_dim: int = 3):
+    """A polynomial, a field and variable names (or None) on R^dim.
+
+    Coefficients are often +-1 and exponents often 0, so unit coefficients
+    and constant terms are common.
+    """
+    dim = draw(st.integers(1, max_dim))
+    exps = st.tuples(*([st.integers(0, 2)] * dim))
+    polys = st.dictionaries(exps, unit_or_any, max_size=4).map(lambda d: Polynomial(dim, d))
+    names = st.none() | st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=dim, max_size=dim, unique=True)
+    return draw(polys), VectorField([draw(polys) for _ in range(dim)]), draw(names)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(printable())
+def test_printers_match_reference(data):
+    p, X, names = data
+    one = Polynomial.constant(p.dim, 1)
+    # p and -p: one of them opens with a negative term unless p is zero
+    for q in (p, -p, p + one, p - one, Polynomial.zero(p.dim)):
+        assert q.format(names) == reference_poly_format(q, names)
+    reordered = VectorField.from_terms(X.dim, dict(reversed(list(X.terms.items()))))
+    for Y in (X, -X, reordered, VectorField.zero(X.dim)):
+        assert Y.format(names) == reference_field_format(Y, names)
+    assert str(p) == reference_poly_format(p)
+    assert str(X) == reference_field_format(X)
 
 
 @st.composite
@@ -307,7 +342,7 @@ def test_affine_substitution_matches_naive_products(data):
 
 def test_eval_vanishing_at_origin():
     X = VectorField([Polynomial.zero(2), var(2, 0)])
-    assert vf_eval(X, (0, 0)) == (0, 0)
+    assert X.evaluate((0, 0)) == (0, 0)
 
 
 def test_eval_constant_plus_linear():
@@ -315,12 +350,12 @@ def test_eval_constant_plus_linear():
     X = VectorField(
         [Polynomial.zero(4), Polynomial.constant(4, 1), var(4, 0), Polynomial.zero(4)]
     )
-    assert vf_eval(X, (0, 0, 0, 0)) == (0, 1, 0, 0)
+    assert X.evaluate((0, 0, 0, 0)) == (0, 1, 0, 0)
 
 
 def test_eval_substitution():
     X = VectorField([Polynomial.zero(3), Polynomial.zero(3), var(3, 1) ** 2])
-    assert vf_eval(X, (1, 2, 3)) == (0, 0, 4)
+    assert X.evaluate((1, 2, 3)) == (0, 0, 4)
 
 
 @st.composite
@@ -345,7 +380,7 @@ def test_evaluate_matches_naive_oracle(data):
 
 def test_eval_dimension_mismatch():
     with pytest.raises(ValueError):
-        vf_eval(coord(2, 0), (1, 2, 3))
+        coord(2, 0).evaluate((1, 2, 3))
 
 
 def test_frame_rank_examples(e1_frame, e2_frame):
