@@ -48,7 +48,6 @@ from .liealg import (
     is_solvable,
     lie_closure,
     nilpotent_step,
-    rank_condition_at_zero,
 )
 from .locus import (
     DegenerateZ1,
@@ -131,7 +130,6 @@ __all__ = [
     "order_zero_component",
     "parse_frame",
     "print_frame",
-    "rank_condition_at_zero",
     "rk4_flow",
     "stratify_samples",
     "tangency_check",

@@ -215,7 +215,6 @@ def growth_vector(
     frame: Frame,
     point: Sequence | None = None,
     max_depth: int | None = None,
-    max_degree: int | None = None,
 ) -> tuple[GrowthVector, Weights]:
     """Flag dimensions and candidate coordinate weights at a point.
 
@@ -225,13 +224,11 @@ def growth_vector(
     :func:`check_privileged`.
 
     Raises RankConditionFailure when the flag cannot reach full rank, and
-    DegreeBoundExceeded when a bracket exceeds the degree cap
-    (ARS_MAX_DEGREE by default).
+    DegreeBoundExceeded when a bracket exceeds the degree cap ARS_MAX_DEGREE.
     """
     pt = as_point(point, frame.dim) if point is not None else frame.base_point
     depth = max_depth if max_depth is not None else 2 * frame.dim * max(1, frame.max_component_degree())
-    cap = max_degree if max_degree is not None else max_degree_cap()
-    dims, step = _flag_levels(frame, pt, depth, cap)
+    dims, step = _flag_levels(frame, pt, depth, max_degree_cap())
     orders = coordinate_orders(frame, pt, max_length=step)
     growth = GrowthVector(tuple(dims), step, tuple(orders))
     # multiset of weights dictated by the flag, ascending

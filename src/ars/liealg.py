@@ -3,10 +3,11 @@
 A :class:`LieBasis` is a canonical reduced basis of a finite-dimensional
 algebra with its sparse structure constants.  Fields are bracketed only by
 the walk :func:`ars.grading.bracket_rounds`, which finds L, and by
-:meth:`LieBasis.from_span`, which tabulates L and its ideal G, never for a
-pair that commutes by support (:func:`ars.symcore.commute_by_support`).
-All else runs exactly on sparse coordinate vectors {basis index: c} with
-the table's nonzero entries.  L is graded with orders -1 and 0
+:meth:`LieBasis.from_span`, which tabulates L, never for a pair that
+commutes by support (:func:`ars.symcore.commute_by_support`).  The ideal G
+and L_0 are subalgebras of L: :meth:`LieBasis.subalgebra` reads their
+tables off L's.  All else runs exactly on sparse coordinate vectors
+{basis index: c} with the table's nonzero entries.  L is graded with orders -1 and 0
 (:meth:`LieBasis.orders`), so L_{<0} is a nilpotent ideal with quotient L_0
 and L is solvable exactly when L_0 is: the derived series runs on L_0 only.
 """
@@ -25,7 +26,6 @@ from .symcore import (
     VectorField,
     _accumulate,
     commute_by_support,
-    frame_rank_at,
     lie_bracket,
     linear_combination,
     max_degree_cap,
@@ -86,11 +86,6 @@ class LieBasis:
     def contains(self, X: VectorField) -> bool:
         return self._span.contains(X.terms)
 
-    def member(self, X: VectorField) -> tuple[int | Fraction, ...] | None:
-        """Coordinates of X in ``basis``, or None when X is outside the span."""
-        coords = self._span.coordinates(X.terms)
-        return None if coords is None else tuple(coords.get(k, 0) for k in range(len(self.basis)))
-
     def orders(self, weights: Sequence[int]) -> tuple[int, ...]:
         """Order of each basis element under the weights: the one record of the grading.
 
@@ -103,24 +98,29 @@ class LieBasis:
             raise GradedFrameUnavailable("the algebra is not spanned by homogeneous elements")
         return tuple(s for s, in orders)
 
-    def subalgebra(self, indices: Sequence[int]) -> "LieBasis":
-        """The span of the basis elements at ``indices``, which must be closed under brackets.
+    def subalgebra(self, rows: Sequence[dict]) -> "LieBasis":
+        """The span of the coordinate rows, which must be closed under brackets.
 
-        Its table is this table restricted: no field is bracketed.
+        Its basis is the canonical reduced basis of the rows' fields.  Its
+        table is read off this one with no field bracketed: in a fully
+        reduced basis, an element's coordinates are its coefficients at the
+        leading keys, so ``back[k]`` holds those of b_k at the subalgebra's.
         """
-        pos = {i: p for p, i in enumerate(indices)}
-        rows = [self._table[i] for i in indices]
-        table = [{pos[j]: {pos[k]: c for k, c in e.items()} for j, e in row.items() if j in pos} for row in rows]
         span = SpanBasis()
-        for i in indices:
-            span.insert(self.basis[i].terms)
-        return LieBasis(self.dim, [self.basis[i] for i in indices], table, span)
-
-    def same_span(self, fields: Iterable[VectorField]) -> bool:
-        other = SpanBasis()
-        for f in fields:
-            other.insert(f.terms)
-        return other == self._span
+        for row in rows:
+            span.insert(linear_combination(((c, self.basis[k]) for k, c in row.items()), self.dim).terms)
+        basis = [VectorField.from_terms(self.dim, r) for r in span.rows()]
+        keys = {key: k for k, key in enumerate(self._span.leading_keys())}
+        sub_keys = {key: p for p, key in enumerate(span.leading_keys())}
+        coords = [{keys[key]: c for key, c in b.terms.items() if key in keys} for b in basis]
+        back = [{sub_keys[key]: c for key, c in b.terms.items() if key in sub_keys} for b in self.basis]
+        table: list[dict] = [{} for _ in basis]
+        for p, q, w in self._pair_brackets(coords):
+            entry = _accumulate((r, c * a) for k, c in w.items() for r, a in back[k].items())
+            if entry:
+                table[p][q] = entry
+                table[q][p] = {r: -c for r, c in entry.items()}
+        return LieBasis(self.dim, basis, table, span)
 
     def _coords(self, X: VectorField) -> dict:
         """Sparse coordinate vector of X; ValueError when X is outside the algebra."""
@@ -136,6 +136,16 @@ class LieBasis:
             (k, a * b * c)
             for i, a in u.items() for j, b in v.items() if j in table[i] for k, c in table[i][j].items()
         )
+
+    def _pair_brackets(self, rows: Sequence[dict]) -> Iterable[tuple[int, int, dict]]:
+        """(p, q, [u_p, u_q]) for the pairs p < q of coordinate vectors whose bracket may be nonzero.
+
+        A pair is bracketed only when u_q has a coordinate that the table
+        rows of u_p reach; otherwise every term of [u_p, u_q] is zero.
+        """
+        reach = [set().union(*(self._table[i] for i in u)) for u in rows]
+        pairs = ((p, q) for p in range(len(rows)) for q in range(p + 1, len(rows)) if not reach[p].isdisjoint(rows[q]))
+        return ((p, q, self._bracket(rows[p], rows[q])) for p, q in pairs)
 
     def ad(self, v: dict) -> list[dict]:
         """The nonzero brackets [v, b_i] of a coordinate vector with the basis.
@@ -199,8 +209,8 @@ def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
     The ideal is the smallest subspace of L's coordinates that contains the
     generators and is invariant under every ad(b_i), found without
     bracketing a field: each vector that grows the span contributes its
-    brackets [v, b_i].  Its rows are then mapped to fields, and
-    :meth:`LieBasis.from_span` tabulates the ideal as it does L.
+    brackets [v, b_i].  :meth:`LieBasis.subalgebra` then reads the ideal's
+    table off L's.
     """
     coords = SpanBasis()
     todo = [L._coords(g) for g in generators]
@@ -208,10 +218,7 @@ def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
         v = todo.pop()
         if coords.insert(v):
             todo.extend(L.ad(v))
-    span = SpanBasis()
-    for row in coords.rows():
-        span.insert(linear_combination(((c, L.basis[k]) for k, c in row.items()), L.dim).terms)
-    return LieBasis.from_span(L.dim, span)
+    return L.subalgebra(coords.rows())
 
 
 def _series(L: LieBasis, derived: bool) -> int | None:
@@ -235,11 +242,7 @@ def _series(L: LieBasis, derived: bool) -> int | None:
         current = span.rows()
         size = len(current)
         if derived:
-            # a pair (u, v) is bracketed only when v has a coordinate that the
-            # table rows of u reach; otherwise every term of [u, v] is zero
-            reach = [set().union(*(L._table[i] for i in u)) for u in current]
-            pairs = ((u, v) for p, u in enumerate(current) for v in current[p + 1:] if not reach[p].isdisjoint(v))
-            brackets = (L._bracket(u, v) for u, v in pairs)
+            brackets = (w for _, _, w in L._pair_brackets(current))
         else:
             brackets = (w for v in current for w in L.ad(v))
     return step
@@ -266,17 +269,12 @@ def adjoint_matrix(X: VectorField, G: LieBasis) -> tuple[tuple[Fraction, ...], .
     """
     columns = []
     for b in G.basis:
-        coords = G.member(lie_bracket(X, b))
+        coords = G._span.coordinates(lie_bracket(X, b).terms)
         if coords is None:
             raise NotInvariant(f"[X, b] leaves the algebra for b = {b}")
         columns.append(coords)
     size = len(G.basis)
-    return tuple(tuple(columns[j][i] for j in range(size)) for i in range(size))
-
-
-def rank_condition_at_zero(G: LieBasis, point: Sequence) -> bool:
-    """True iff the evaluations of G's basis at the point span R^n."""
-    return frame_rank_at(G.basis, point) == G.dim
+    return tuple(tuple(columns[j].get(i, 0) for j in range(size)) for i in range(size))
 
 
 def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classification:
@@ -317,7 +315,7 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
 
     # the fields have orders -1 and 0, so L_{<0} is a nilpotent ideal and
     # L / L_{<0} is L_0: L is solvable exactly when L_0 is
-    L0 = L.subalgebra([i for i, s in enumerate(L.orders(A.weights)) if s == 0])
+    L0 = L.subalgebra([{i: 1} for i, s in enumerate(L.orders(A.weights)) if s == 0])
     return Classification(
         labels=tuple(labels),
         k=k,

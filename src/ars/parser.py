@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .symcore import ArsError, Frame, Polynomial, VectorField, as_coefficient
+from .symcore import ArsError, Frame, VectorField, as_coefficient
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _MONOMIAL = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(\^(\d+))?$")
@@ -151,7 +151,7 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
     if len(tokens) == 1 and tokens[0][0] == "0":
         return VectorField.zero(n)
 
-    components = [Polynomial.zero(n) for _ in range(n)]
+    terms: dict = {}
     sign = 1
     coef: int | Fraction | None = None
     exps = [0] * n
@@ -162,8 +162,8 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
         nonlocal sign, coef, exps, has_factor, started
         if var not in index:
             raise ParseError(f"undeclared variable {var!r}", lineno, tcol)
-        c = sign * (coef if coef is not None else 1)
-        components[index[var]] = components[index[var]] + Polynomial.monomial(n, tuple(exps), c)
+        key = (index[var], tuple(exps))
+        terms[key] = terms.get(key, 0) + sign * (coef if coef is not None else 1)
         sign = 1
         coef = None
         exps = [0] * n
@@ -206,7 +206,7 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
 
     if started or coef is not None or has_factor:
         raise ParseError("dangling term without a derivative", lineno, 1)
-    return VectorField(components)
+    return VectorField.from_terms(n, {key: c for key, c in terms.items() if c})
 
 
 def print_frame(doc: FrameDocument) -> str:

@@ -25,9 +25,9 @@ from .grading import (
     check_weights,
     growth_vector,
 )
-from .liealg import Classification, classify_fields, graded_frame, ideal_closure, lie_closure, rank_condition_at_zero
+from .liealg import Classification, classify_fields, graded_frame, ideal_closure, lie_closure
 from .parser import FrameDocument
-from .symcore import ArsError, Frame, VectorField
+from .symcore import ArsError, Frame, VectorField, frame_rank_at
 
 REPORT_SCHEMA = "ars-report/1"
 
@@ -238,7 +238,7 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
         raise
     G = ideal_closure(L, A.hat_fields[: A.k])
     report.classification = classify_fields(A, L, G)
-    report.ideal_full_rank = rank_condition_at_zero(G, frame.base_point)
+    report.ideal_full_rank = frame_rank_at(G.basis, frame.base_point) == frame.dim
     try:
         report.graded_frame_fields = graded_frame(G, weights)
     except ArsError:

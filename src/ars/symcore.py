@@ -247,10 +247,6 @@ class Polynomial(_TermMap):
         exps[index] = 1
         return cls(dim, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, dim: int, exps: Sequence[int], coef=1) -> "Polynomial":
-        return cls(dim, {tuple(exps): coef})
-
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)

@@ -62,7 +62,7 @@ def test_parse_negative_terms():
 )
 def test_sign_glued_to_a_monomial(expression, coefficient, exponents):
     doc = parse_frame(f"vars x y\nfield A = d/dx\nfield B = {expression}\n")
-    expected = only_component(2, 1, Polynomial.monomial(2, exponents, coefficient))
+    expected = only_component(2, 1, Polynomial(2, {exponents: coefficient}))
     if expression.startswith("d/dx"):
         expected = VectorField.coordinate(2, 0) + expected
     assert doc.fields[1] == expected

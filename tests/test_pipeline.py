@@ -149,15 +149,15 @@ def _grushin_pow_text(n: int) -> str:
 @pytest.mark.parametrize(
     "text, expected",
     [
-        (E3_TEXT, {"grading": 7, "lie_closure": 18, "from_span": 19}),
-        (_grushin_pow_text(9), {"grading": 36, "lie_closure": 36, "from_span": 64}),
+        (E3_TEXT, {"grading": 7, "lie_closure": 18, "from_span": 15}),
+        (_grushin_pow_text(9), {"grading": 36, "lie_closure": 36, "from_span": 36}),
     ],
     ids=["E3", "grushin_pow(9)"],
 )
 def test_bracket_counts_by_caller(text, expected, monkeypatch):
     # pairs that commute by support are never bracketed, the flag brackets
-    # each generator pair once, and from_span tabulates both L and its ideal
-    # G: E3 makes 44 brackets, grushin_pow(9) 136, of which 28 tabulate G
+    # each generator pair once, and from_span tabulates L only, since G and
+    # L_0 read their tables off L's: E3 makes 40 brackets, grushin_pow(9) 108
     callers = {"_flag_levels": "grading", "lie_closure": "lie_closure", "from_span": "from_span"}
     counts: Counter = Counter()
     bracket = ars.liealg.lie_bracket
