@@ -4,10 +4,10 @@ A :class:`LieBasis` is a canonical reduced basis of a finite-dimensional
 algebra with its sparse structure constants.  Fields are bracketed only by
 the walk :func:`ars.grading.bracket_rounds`, which finds L, and by
 :meth:`LieBasis.from_span`, which tabulates L, never for a pair that
-commutes by support (:func:`ars.symcore.commute_by_support`).  The ideal G
-and L_0 are subalgebras of L: :meth:`LieBasis.subalgebra` reads their
-tables off L's.  All else runs exactly on sparse coordinate vectors
-{basis index: c} with the table's nonzero entries.  L is graded with orders -1 and 0
+commutes by support (:func:`ars.symcore.commute_by_support`); the tables
+of the ideal G and of L_0 are read off L's (:meth:`LieBasis.subalgebra`).
+All else runs exactly on sparse coordinate vectors {basis index: c} with
+the table's nonzero entries.  L is graded with orders -1 and 0
 (:meth:`LieBasis.orders`), so L_{<0} is a nilpotent ideal with quotient L_0
 and L is solvable exactly when L_0 is: the derived series runs on L_0 only.
 """
