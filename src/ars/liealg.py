@@ -10,6 +10,8 @@ All else runs exactly on sparse coordinate vectors {basis index: c} with
 the table's nonzero entries.  L is graded with orders -1 and 0
 (:meth:`LieBasis.orders`), so L_{<0} is a nilpotent ideal with quotient L_0
 and L is solvable exactly when L_0 is: the derived series runs on L_0 only.
+The lower central series of G is read off the iterated brackets of a
+complement of [G, G], which generates G when G is nilpotent.
 """
 
 from __future__ import annotations
@@ -106,9 +108,7 @@ class LieBasis:
         reduced basis, an element's coordinates are its coefficients at the
         leading keys, so ``back[k]`` holds those of b_k at the subalgebra's.
         """
-        span = SpanBasis()
-        for row in rows:
-            span.insert(linear_combination(((c, self.basis[k]) for k, c in row.items()), self.dim).terms)
+        span = _span(linear_combination(((c, self.basis[k]) for k, c in row.items()), self.dim).terms for row in rows)
         basis = [VectorField.from_terms(self.dim, r) for r in span.rows()]
         keys = {key: k for k, key in enumerate(self._span.leading_keys())}
         sub_keys = {key: p for p, key in enumerate(span.leading_keys())}
@@ -221,45 +221,67 @@ def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
     return L.subalgebra(coords.rows())
 
 
-def _series(L: LieBasis, derived: bool) -> int | None:
-    """Bracketings until the lower central (or derived) series vanishes; None when it stalls.
+def _span(vectors: Iterable[dict]) -> SpanBasis:
+    span = SpanBasis()
+    for v in vectors:
+        span.insert(v)
+    return span
 
-    Runs on L's structure constants: the terms are coordinate subspaces.
-    Both series start with [L, L], the span of the table's nonzero entries.
-    The next lower central term [L, C] is spanned by ad(v) of C's rows, the
-    next derived term [D, D] by the brackets of pairs of D's rows.
+
+def _derived(L: LieBasis) -> SpanBasis:
+    """[L, L]: the span of the table's nonzero entries."""
+    return _span(entry for i, row in enumerate(L._table) for j, entry in row.items() if i < j)
+
+
+def _series(L: LieBasis) -> int | None:
+    """Bracketings until the derived series vanishes; None when it stalls.
+
+    Runs on L's structure constants: the terms are coordinate subspaces,
+    and the next term [D, D] is spanned by the brackets of pairs of D's rows.
     """
-    brackets: Iterable[dict] = (entry for i, row in enumerate(L._table) for j, entry in row.items() if i < j)
-    size, step = len(L), 0
+    size, step, span = len(L), 0, _derived(L)
     while size:
-        span = SpanBasis()
-        for w in brackets:
-            span.insert(w)
-        step += 1
         # the series is decreasing, so an equal dimension means it stalled
         if span.dim == size:
             return None
-        current = span.rows()
-        size = len(current)
-        if derived:
-            brackets = (w for _, _, w in L._pair_brackets(current))
-        else:
-            brackets = (w for v in current for w in L.ad(v))
+        current, step = span.rows(), step + 1
+        size, span = len(current), _span(w for _, _, w in L._pair_brackets(current))
     return step
 
 
 def nilpotent_step(L: LieBasis) -> int | None:
     """Length of the lower central series; None when it stabilizes nonzero.
 
-    The step is the smallest number of bracketings after which everything
-    vanishes: an abelian algebra has step 1, the zero algebra step 0.
+    An abelian algebra has step 1, the zero algebra step 0.  The series is
+    read off V, the basis indices that are not leading keys of D = [L, L],
+    so V + D = L.  With W_1 = V and W_(j+1) = [V, W_j], Jacobi gives
+    [W_k, W_j] in W_(k+j); so when T = sum W_j is L, C^i = sum_(j >= i) W_j
+    and the step is the first c with W_(c+1) = 0.  T + C^k = L for every k,
+    so a nilpotent L is generated by V and T != L certifies it is not.
     """
-    return _series(L, derived=False)
+    size, derived = len(L), _derived(L)
+    if derived.dim in (0, size):
+        return None if derived.dim else min(size, 1)  # abelian 1, zero 0
+    table, leads = L._table, set(derived.leading_keys())
+    # W_2 = [V, V] is spanned by table entries, and is D when no entry involves a leading key
+    direct = not any(table[d] for d in leads)
+    step, parts, current = 1, [], (derived if direct else _span(
+        table[u][v] for u in range(size) if u not in leads for v in table[u] if u < v and v not in leads)).rows()
+    while current and step < size:
+        step, parts = step + 1, parts + current
+        # [w, b_v] = sum_i w_i [b_i, b_v], for the v in V that w's table rows reach
+        current = _span(
+            _accumulate((k, a * c) for i, a in w.items() if v in table[i] for k, c in table[i][v].items())
+            for w in current for v in {v for i in w for v in table[i] if v not in leads}
+        ).rows()
+    # the W_j with j >= 2 lie in D, and rows with distinct leading keys are independent
+    spans = not current and (direct or len({max(w) for w in parts}) == derived.dim or _span(parts).dim == derived.dim)
+    return step if spans else None
 
 
 def is_solvable(L: LieBasis) -> bool:
     """True iff the derived series reaches zero."""
-    return _series(L, derived=True) is not None
+    return _series(L) is not None
 
 
 def adjoint_matrix(X: VectorField, G: LieBasis) -> tuple[tuple[Fraction, ...], ...]:
@@ -300,9 +322,7 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
     l = k + len(in_ideal)
 
     # derivation check, the contract for non-ideal fields, in L-coordinates
-    ideal = SpanBasis()
-    for b in G.basis:
-        ideal.insert(L._coords(b))
+    ideal = _span(L._coords(b) for b in G.basis)
     labels: list[str] = []
     for new_pos, pos in enumerate(order):
         if new_pos < l:

@@ -72,9 +72,10 @@ def frame_determinant(frame: Frame) -> Polynomial:
     """Determinant of the matrix whose columns are the frame fields.
 
     Computed by expansion along the rows over column subsets, each minor
-    once; exact over Q.  A single column's minor is its last-row entry.
+    once; exact over Q.  A single column's minor is its last-row entry; a
+    constant entry scales its minor, and the entry 1 leaves it as it is.
     """
-    n = frame.dim
+    n, constant = frame.dim, (0,) * frame.dim
 
     @functools.cache
     def minor(cols: tuple[int, ...]) -> Polynomial:
@@ -87,7 +88,9 @@ def frame_determinant(frame: Frame) -> Polynomial:
             entry = frame.fields[col].components[row]
             if entry.is_zero:
                 continue
-            term = entry * minor(cols[:idx] + cols[idx + 1 :])
+            sub = minor(cols[:idx] + cols[idx + 1 :])
+            c = entry.terms.get(constant) if len(entry.terms) == 1 else None
+            term = entry * sub if c is None else sub if c == 1 else sub * c
             total = total + term if idx % 2 == 0 else total - term
         return total
 

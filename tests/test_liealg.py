@@ -7,6 +7,7 @@ import pytest
 
 from ars.approx import build_approximation
 from ars.grading import growth_vector, homogeneous_orders, nonholonomic_order_vf
+from ars.linalg import SpanBasis
 from ars.liealg import (
     DegreeBoundExceeded,
     GradedFrameUnavailable,
@@ -20,7 +21,7 @@ from ars.liealg import (
     lie_closure,
     nilpotent_step,
 )
-from ars.symcore import ArsError, Polynomial, VectorField, frame_rank_at, lie_bracket, linear_combination
+from ars.symcore import ArsError, Frame, Polynomial, VectorField, frame_rank_at, lie_bracket, linear_combination
 
 from oracles import closure_fields, derived_dims, ideal_fields, lower_central_dims, spans_equal, structure
 
@@ -298,6 +299,64 @@ def test_series_match_naive_oracles(e1_frame, e2_frame, e3_frame):
     # it is abelian; the affine line is solvable but not nilpotent
     assert [s[2] for s in steps[4:6]] == [4, 1]
     assert steps[6] == (None, True, 1)
+
+
+def test_nilpotent_step_matches_lower_central_oracle(e1_frame, e2_frame, e3_frame):
+    # nilpotent_step reads the series off a complement V of [G, G]; the
+    # oracle brackets all of G with each lower central term, naively
+    x = var(2, 0)
+    frames = [e1_frame, e2_frame, e3_frame]
+    frames += [Frame(("x", "y"), [VectorField.coordinate(2, 0), only_component(2, 1, Fraction(3, 7) * x**k)])
+               for k in (16, 24, 40)]
+    for fields in [_grushin_pow_fields(n) for n in range(5, 10)] + [_chain_fields(n) for n in range(5, 8)]:
+        frames.append(Frame([f"x{i}" for i in range(len(fields))], fields))
+    ideals = [_analysis(frame)[2] for frame in frames] + [G for _, _, G in _random_homogeneous_ideals()]
+    # not nilpotent: sl2, where [G, G] = G; [a, b] = b, where V does not
+    # generate G; [a, b] = c and [a, c] = c, where V generates G and the
+    # iterated brackets [V, ..., [V, V]] never vanish; sl2 + R, where V is
+    # the centre, so [V, [G, G]] = 0 and V does not generate G
+    X4, X5 = e3_frame.fields[3], e3_frame.fields[4]
+    closures = [
+        lie_closure([X4, X5, lie_bracket(X4, X5)]),
+        lie_closure([VectorField.from_terms(1, {(0, (1,)): -1}), VectorField.coordinate(1, 0)]),
+        lie_closure([VectorField.from_terms(2, {(1, (1, 0)): -1, (1, (0, 1)): -1}), VectorField.coordinate(2, 0)]),
+        lie_closure([VectorField.coordinate(2, 0), only_component(2, 0, x**2), VectorField.coordinate(2, 1)]),
+    ]
+    steps, dims = [], []
+    for G in ideals + closures:
+        lower = lower_central_dims(list(G.basis))
+        steps.append(nilpotent_step(G))
+        dims.append(lower)
+        assert steps[-1] == (len(lower) - 1 if lower[-1] == 0 else None)
+    # closed forms: step 2 on E1-E3, k on x^k d/dy, n - 1 on grushin_pow(n),
+    # 1 on chain(n)
+    assert steps[:14] == [2, 2, 2, 16, 24, 40, 4, 5, 6, 7, 8, 1, 1, 1]
+    assert all(step is not None for step in steps[:-4]) and len(steps) >= 40
+    assert steps[-4:] == [None, None, None, None]
+    assert dims[-4:] == [[3, 3], [2, 1, 1], [3, 1, 1], [4, 3, 3]]
+
+
+def _table_algebra(size, brackets):
+    """A LieBasis with [e_i, e_j] = brackets[i, j] for i < j; its fields are placeholders."""
+    table = [{} for _ in range(size)]
+    for (i, j), entry in brackets.items():
+        table[i][j] = entry
+        table[j][i] = {k: -c for k, c in entry.items()}
+    return LieBasis(size, [VectorField.coordinate(size, i) for i in range(size)], table, SpanBasis())
+
+
+def test_nilpotent_step_when_the_iterated_brackets_overlap():
+    # [e0, e1] = e2 + e3 and [e0, e2] = e3: C^2 = <e2, e3>, C^3 = <e3>, so
+    # the step is 3.  V = <e0, e1>, and [V, V] = <e2 + e3> and
+    # [V, [V, V]] = <e3> share their leading key 3: only their span shows
+    # that V generates G
+    assert nilpotent_step(_table_algebra(4, {(0, 1): {2: 1, 3: 1}, (0, 2): {3: 1}})) == 3
+    # a, b1, b2, g, e1, e2, f with [a, b1] = e1, [a, b2] = e2, [a, e1] = e2
+    # and [g, f] = f: not nilpotent, as f lies in every C^k.  The iterated
+    # brackets of V = <a, b1, b2, g> are <e1, e2> and <e2>: three rows, as
+    # many as dim [G, G] = 3, whose span misses f
+    brackets = {(0, 1): {4: 1}, (0, 2): {5: 1}, (0, 4): {5: 1}, (3, 6): {6: 1}}
+    assert nilpotent_step(_table_algebra(7, brackets)) is None
 
 
 # --- adjoint matrices ------------------------------------------------------------

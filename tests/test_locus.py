@@ -69,9 +69,46 @@ def test_determinant_e3(e3_frame):
     assert det == Fraction(-1, 2) * (x * y**2 * w)
 
 
+def _frames_with_constant_entries():
+    """Seeded frames on R^2-R^4 with d/dx columns and entries 0, 1, other constants and polynomials."""
+    rng = random.Random(17)
+    for dim in (2, 3, 4):
+        for _ in range(20):
+            fields = []
+            for j in range(dim):
+                if rng.random() < 0.3:
+                    fields.append(VectorField.coordinate(dim, j))
+                    continue
+                comps = []
+                for _ in range(dim):
+                    kind = rng.choice(["zero", "one", "constant", "polynomial"])
+                    if kind == "zero":
+                        comps.append(Polynomial.zero(dim))
+                    elif kind == "one":
+                        comps.append(Polynomial.constant(dim, 1))
+                    elif kind == "constant":
+                        comps.append(Polynomial.constant(dim, Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))))
+                    else:
+                        exps = [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(rng.randint(1, 3))]
+                        comps.append(Polynomial(dim, {e: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for e in exps}))
+                fields.append(VectorField(comps))
+            yield Frame([f"x{i}" for i in range(dim)], fields)
+    # x^300 d/dy off the locus: the d/dx column's entry 1 multiplies the 301-term minor
+    frame = parse_frame("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^300 d/dy\n").to_frame()
+    yield Frame(frame.var_names, frame.fields, (Fraction(9, 8), Fraction(-7, 9))).translated_to_origin()
+
+
 def test_determinant_matches_cofactor_oracle(e1_frame, e2_frame, e3_frame):
-    for frame in (e1_frame, e2_frame, e3_frame):
-        assert frame_determinant(frame) == frame_cofactor_det(frame)
+    # the expansion scales a minor by a constant entry, and leaves it as it
+    # is for the entry 1, with the oracle's coefficients, types and text
+    zero = set()
+    for frame in [e1_frame, e2_frame, e3_frame, *_frames_with_constant_entries()]:
+        det, oracle = frame_determinant(frame), frame_cofactor_det(frame)
+        assert det == oracle
+        assert [type(c) for c in det.terms.values()] == [type(oracle.terms[k]) for k in det.terms]
+        assert det.format(frame.var_names) == oracle.format(frame.var_names)
+        zero.add(det.is_zero)
+    assert zero == {True, False} and len(det.terms) == 301
 
 
 def test_determinant_matches_numeric_sampling(e3_frame):

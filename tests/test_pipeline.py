@@ -225,15 +225,17 @@ def test_analyze_decides_solvability_on_order_zero_part(text, lie_dim, order_zer
     # families, and sl2 for E3, whose first derived term is all of it, so no
     # pair of rows is bracketed (is_solvable(L) brackets 14, 0 and 20)
     counts = _count_solvability_brackets(monkeypatch)
-    sizes = []
-    series = ars.liealg._series
-    monkeypatch.setattr(ars.liealg, "_series", lambda L, derived: sizes.append(len(L)) or series(L, derived))
+    calls = []
+    for name in ("nilpotent_step", "is_solvable"):
+        original = getattr(ars.liealg, name)
+        recording = lambda L, name=name, original=original: calls.append((name, len(L))) or original(L)
+        monkeypatch.setattr(ars.liealg, name, recording)
     report = analyze(parse_frame(text))
     assert counts["is_solvable"] == expected
     assert report.classification.lie_dim == lie_dim
     assert report.classification.solvable is solvable
     # nilpotent_step(G), then is_solvable(L_0)
-    assert sizes == [report.classification.ideal_dim, order_zero_dim]
+    assert calls == [("nilpotent_step", report.classification.ideal_dim), ("is_solvable", order_zero_dim)]
 
 
 # --- CLI ----------------------------------------------------------------------
