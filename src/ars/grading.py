@@ -8,15 +8,17 @@ off the bracket flag of the frame and matched to coordinates through the
 orders of the coordinate functions.
 
 :func:`bracket_rounds` is the one breadth-first bracket walk of the
-package: the flag consumes it round by round and stops at full rank, and
-:func:`ars.liealg.lie_closure` runs it to its end.  It holds the single
-degree-cap test, which raises :class:`DegreeBoundExceeded`.
+package, and one walk serves both the flag and the Lie algebra: the flag
+consumes a :class:`BracketWalk` round by round and stops at full rank, and
+:func:`ars.liealg.lie_closure` of the same fields finishes that walk and its
+span instead of starting a second one.  It holds the single degree-cap
+test, which raises :class:`DegreeBoundExceeded`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .linalg import SpanBasis
@@ -53,11 +55,14 @@ class GrowthVector:
 
     ``orders`` are the coordinate orders at the point up to the bound
     ``step``, which every order reaches once the flag has full rank.
+    ``walk`` is the flag's bracket walk, stopped at full rank, or None when
+    the generators alone have full rank.
     """
 
     dims: tuple[int, ...]
     step: int
     orders: tuple[int | None, ...]
+    walk: "BracketWalk | None" = field(default=None, compare=False, repr=False)
 
 
 def check_weights(weights: Sequence[int], dim: int) -> Weights:
@@ -137,20 +142,38 @@ def bracket_rounds(
         pairs = [(g, f) for g in gens for f in grew]
 
 
-def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
-    """Ranks of the bracket flag at a point, one per round of :func:`bracket_rounds`.
+class BracketWalk:
+    """:func:`bracket_rounds` on the nonzero fields under a degree cap, resumable between rounds.
 
-    Stops at full rank, at stabilization or at the depth cap.
+    ``span`` holds the span of every field the walk has met so far.
+    """
+
+    __slots__ = ("fields", "max_degree", "span", "rounds")
+
+    def __init__(self, fields: Sequence[VectorField], max_degree: int):
+        self.fields = tuple(f for f in fields if not f.is_zero)
+        self.max_degree = max_degree
+        self.span = SpanBasis()
+        self.rounds = bracket_rounds(self.fields, self.span, max_degree)
+
+
+def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
+    """Ranks of the bracket flag at a point, one per round of a :class:`BracketWalk`.
+
+    Stops at full rank, returning the walk stopped there when it made
+    brackets (one stopped at its generators would save none and only hold
+    a copy of them), or raises at stabilization or at the depth cap.
     """
     n = frame.dim
     values = SpanBasis()
     dims: list[int] = []
-    for grew in bracket_rounds(frame.fields, SpanBasis(), max_degree):
+    walk = BracketWalk(frame.fields, max_degree)
+    for grew in walk.rounds:
         for f in grew:
             values.insert({i: c for i, c in enumerate(f._evaluate(point)) if c != 0})
         dims.append(values.dim)
         if values.dim == n:
-            return dims, len(dims)
+            return dims, len(dims), walk if len(dims) > 1 else None
         if not grew:
             break
         if len(dims) >= max_depth:
@@ -221,16 +244,17 @@ def growth_vector(
     Weights are assigned per flag level (dims[s] - dims[s-1] coordinates of
     weight s) and matched to coordinates by the orders of the coordinate
     functions; whether the match is exact is the business of
-    :func:`check_privileged`.
+    :func:`check_privileged`.  The growth vector carries the flag's walk,
+    which :func:`ars.liealg.lie_closure` of the frame's own fields finishes.
 
     Raises RankConditionFailure when the flag cannot reach full rank, and
     DegreeBoundExceeded when a bracket exceeds the degree cap ARS_MAX_DEGREE.
     """
     pt = as_point(point, frame.dim) if point is not None else frame.base_point
     depth = max_depth if max_depth is not None else 2 * frame.dim * max(1, frame.max_component_degree())
-    dims, step = _flag_levels(frame, pt, depth, max_degree_cap())
+    dims, step, walk = _flag_levels(frame, pt, depth, max_degree_cap())
     orders = coordinate_orders(frame, pt, max_length=step)
-    growth = GrowthVector(tuple(dims), step, tuple(orders))
+    growth = GrowthVector(tuple(dims), step, tuple(orders), walk)
     # multiset of weights dictated by the flag, ascending
     level_weights: list[int] = []
     prev = 0

@@ -2,12 +2,13 @@
 
 A :class:`LieBasis` is a canonical reduced basis of a finite-dimensional
 algebra with its sparse structure constants.  Fields are bracketed only by
-the walk :func:`ars.grading.bracket_rounds`, which finds L, and by
-:meth:`LieBasis.from_span`, which tabulates L, never for a pair that
-commutes by support (:func:`ars.symcore.commute_by_support`); the tables
-of the ideal G and of L_0 are read off L's (:meth:`LieBasis.subalgebra`).
-All else runs exactly on sparse coordinate vectors {basis index: c} with
-the table's nonzero entries.  L is graded with orders -1 and 0
+the one walk :class:`ars.grading.BracketWalk`, which the flag starts and
+:func:`lie_closure` finishes, and by :meth:`LieBasis.from_span`, which
+tabulates L; pairs come from an index that yields only those that may
+bracket nonzero (:func:`_overlapping_pairs`).  G and L_0 read their tables
+off L's with no second echelon (:meth:`LieBasis.subalgebra`).  All else
+runs exactly on sparse coordinate vectors {basis index: c} with the
+table's nonzero entries.  L is graded with orders -1 and 0
 (:meth:`LieBasis.orders`), so L_{<0} is a nilpotent ideal with quotient L_0
 and L is solvable exactly when L_0 is: the derived series runs on L_0 only.
 The lower central series of G is read off the iterated brackets of a
@@ -21,15 +22,15 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .approx import ApproximationSet, DegenerateApproximation
-from .grading import DegreeBoundExceeded, bracket_rounds, check_weights, homogeneous_orders
+from .grading import BracketWalk, DegreeBoundExceeded, check_weights, homogeneous_orders
 from .linalg import SpanBasis, solve_combination
 from .symcore import (
     ArsError,
     VectorField,
     _accumulate,
-    commute_by_support,
     lie_bracket,
     linear_combination,
+    mask_bits,
     max_degree_cap,
 )
 
@@ -65,21 +66,21 @@ class LieBasis:
     def from_span(cls, dim: int, span: SpanBasis) -> "LieBasis":
         """Bracket the canonical basis once per pair i < j; antisymmetry fills the rest.
 
-        Pairs that commute by support are not bracketed.  Only nonzero
-        brackets get an entry, with their coordinates in the basis.
+        Only pairs where a direction of one field is a variable of the other
+        are visited; the rest commute by support.  A field's keys are its
+        direction bits d and ~v for its variable bits v, so the keys of X meet
+        the keys ~k of Y exactly for those pairs.  Nonzero brackets get entries.
         """
         basis = [VectorField.from_terms(dim, row) for row in span.rows()]
+        keys = [mask_bits(d) + [~b for b in mask_bits(v)] for d, v in (X.support for X in basis)]
         table: list[dict] = [{} for _ in basis]
-        for i, X in enumerate(basis):
-            for j in range(i + 1, len(basis)):
-                if commute_by_support(X, basis[j]):
-                    continue
-                entry = span.coordinates(lie_bracket(X, basis[j]).terms)
-                if entry is None:
-                    raise ArsError("internal error: span is not closed under brackets")
-                if entry:
-                    table[i][j] = entry
-                    table[j][i] = {k: -c for k, c in entry.items()}
+        for i, j in _overlapping_pairs(keys, [[~key for key in row] for row in keys]):
+            entry = span.coordinates(lie_bracket(basis[i], basis[j]).terms)
+            if entry is None:
+                raise ArsError("internal error: span is not closed under brackets")
+            if entry:
+                table[i][j] = entry
+                table[j][i] = {k: -c for k, c in entry.items()}
         return cls(dim, basis, table, span)
 
     def __len__(self) -> int:
@@ -103,24 +104,24 @@ class LieBasis:
     def subalgebra(self, rows: Sequence[dict]) -> "LieBasis":
         """The span of the coordinate rows, which must be closed under brackets.
 
-        Its basis is the canonical reduced basis of the rows' fields.  Its
-        table is read off this one with no field bracketed: in a fully
-        reduced basis, an element's coordinates are its coefficients at the
-        leading keys, so ``back[k]`` holds those of b_k at the subalgebra's.
+        Take R, the canonical rows of the span.  The field sum_k r_k b_k of
+        a row r has L's leading key of b_(max r), with coefficient 1, and no
+        other row's leading key, since b_k has keys up to its own leading
+        key only.  So these fields are the canonical reduced basis of the
+        span of the rows' fields, and the bracket w of two rows has the
+        subalgebra coordinates w at the rows' leading indices: the table is
+        read off this one with no field bracketed and no second echelon.
         """
-        span = _span(linear_combination(((c, self.basis[k]) for k, c in row.items()), self.dim).terms for row in rows)
-        basis = [VectorField.from_terms(self.dim, r) for r in span.rows()]
-        keys = {key: k for k, key in enumerate(self._span.leading_keys())}
-        sub_keys = {key: p for p, key in enumerate(span.leading_keys())}
-        coords = [{keys[key]: c for key, c in b.terms.items() if key in keys} for b in basis]
-        back = [{sub_keys[key]: c for key, c in b.terms.items() if key in sub_keys} for b in self.basis]
+        coords = _span(rows).rows()
+        basis = [linear_combination(((c, self.basis[k]) for k, c in r.items()), self.dim) for r in coords]
+        leads = {max(r): p for p, r in enumerate(coords)}
         table: list[dict] = [{} for _ in basis]
         for p, q, w in self._pair_brackets(coords):
-            entry = _accumulate((r, c * a) for k, c in w.items() for r, a in back[k].items())
+            entry = {leads[k]: c for k, c in w.items() if k in leads}
             if entry:
                 table[p][q] = entry
                 table[q][p] = {r: -c for r, c in entry.items()}
-        return LieBasis(self.dim, basis, table, span)
+        return LieBasis(self.dim, basis, table, SpanBasis(b.terms for b in basis))
 
     def _coords(self, X: VectorField) -> dict:
         """Sparse coordinate vector of X; ValueError when X is outside the algebra."""
@@ -137,15 +138,16 @@ class LieBasis:
             for i, a in u.items() for j, b in v.items() if j in table[i] for k, c in table[i][j].items()
         )
 
-    def _pair_brackets(self, rows: Sequence[dict]) -> Iterable[tuple[int, int, dict]]:
-        """(p, q, [u_p, u_q]) for the pairs p < q of coordinate vectors whose bracket may be nonzero.
+    def _pair_brackets(self, rows: Sequence[dict], others: Sequence[dict] | None = None) -> Iterable[tuple]:
+        """(p, q, [u_p, v_q]) for the pairs of coordinate vectors whose bracket may be nonzero.
 
-        A pair is bracketed only when u_q has a coordinate that the table
-        rows of u_p reach; otherwise every term of [u_p, u_q] is zero.
+        u runs over ``rows``, v over ``others`` or over ``rows`` with p < q.  A
+        pair is bracketed only when v_q has a coordinate that the table rows
+        of u_p reach, found through an index of the v by coordinate.
         """
-        reach = [set().union(*(self._table[i] for i in u)) for u in rows]
-        pairs = ((p, q) for p in range(len(rows)) for q in range(p + 1, len(rows)) if not reach[p].isdisjoint(rows[q]))
-        return ((p, q, self._bracket(rows[p], rows[q])) for p, q in pairs)
+        upper, others = others is None, rows if others is None else others
+        pairs = _overlapping_pairs([set().union(*(self._table[i] for i in u)) for u in rows], others, upper)
+        return ((p, q, self._bracket(rows[p], others[q])) for p, q in pairs)
 
     def ad(self, v: dict) -> list[dict]:
         """The nonzero brackets [v, b_i] of a coordinate vector with the basis.
@@ -182,12 +184,17 @@ class Classification:
     order: tuple[int, ...]
 
 
-def lie_closure(generators: Sequence[VectorField], max_degree: int | None = None) -> LieBasis:
+def lie_closure(
+    generators: Sequence[VectorField], max_degree: int | None = None, walk: BracketWalk | None = None
+) -> LieBasis:
     """Smallest Lie algebra containing the generators, as a closed basis.
 
-    Runs :func:`ars.grading.bracket_rounds` to its end.  The degree cap
-    (ARS_MAX_DEGREE by default) catches generator sets that do not produce a
-    finite-dimensional algebra: DegreeBoundExceeded.
+    Runs a :class:`ars.grading.BracketWalk` to its end: ``walk`` when it is
+    on the same nonzero generators under the same cap, as the flag's walk
+    (``GrowthVector.walk``) is for a frame that is its own approximation,
+    else a new one; each round ends in the same span either way.  The degree
+    cap (ARS_MAX_DEGREE by default) catches generator sets that do not
+    produce a finite-dimensional algebra: DegreeBoundExceeded.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -196,21 +203,19 @@ def lie_closure(generators: Sequence[VectorField], max_degree: int | None = None
     if any(g.dim != dim for g in gens):
         raise ValueError("generators must share a dimension")
     cap = max_degree if max_degree is not None else max_degree_cap()
-
-    span = SpanBasis()
-    for _ in bracket_rounds(gens, span, cap):
+    if walk is None or walk.fields != tuple(gens) or walk.max_degree != cap:
+        walk = BracketWalk(gens, cap)
+    for _ in walk.rounds:
         pass
-    return LieBasis.from_span(dim, span)
+    return LieBasis.from_span(dim, walk.span)
 
 
 def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
     """Smallest ideal of L containing the generators.
 
-    The ideal is the smallest subspace of L's coordinates that contains the
-    generators and is invariant under every ad(b_i), found without
-    bracketing a field: each vector that grows the span contributes its
-    brackets [v, b_i].  :meth:`LieBasis.subalgebra` then reads the ideal's
-    table off L's.
+    It is the smallest subspace of L's coordinates that holds the generators
+    and is invariant under every ad(b_i): each vector that grows the span adds
+    its brackets [v, b_i].  :meth:`LieBasis.subalgebra` reads its table off L's.
     """
     coords = SpanBasis()
     todo = [L._coords(g) for g in generators]
@@ -226,6 +231,19 @@ def _span(vectors: Iterable[dict]) -> SpanBasis:
     for v in vectors:
         span.insert(v)
     return span
+
+
+def _overlapping_pairs(left: Sequence[Iterable], right: Sequence[Iterable], upper: bool = True) -> list[tuple[int, int]]:
+    """The pairs (p, q) where left[p] and right[q] share a key, p < q when ``upper``, in (p, q) order.
+
+    right is indexed by key once, so each p visits only the q that share a key with it.
+    """
+    index: dict = {}
+    for q, keys in enumerate(right):
+        for key in keys:
+            index.setdefault(key, []).append(q)
+    pairs = {(p, q) for p, keys in enumerate(left) for key in keys for q in index.get(key, ()) if q > p or not upper}
+    return sorted(pairs)
 
 
 def _derived(L: LieBasis) -> SpanBasis:
@@ -289,14 +307,10 @@ def adjoint_matrix(X: VectorField, G: LieBasis) -> tuple[tuple[Fraction, ...], .
 
     Raises NotInvariant when some bracket leaves the span of G.
     """
-    columns = []
-    for b in G.basis:
-        coords = G._span.coordinates(lie_bracket(X, b).terms)
-        if coords is None:
-            raise NotInvariant(f"[X, b] leaves the algebra for b = {b}")
-        columns.append(coords)
-    size = len(G.basis)
-    return tuple(tuple(columns[j].get(i, 0) for j in range(size)) for i in range(size))
+    columns = [G._span.coordinates(lie_bracket(X, b).terms) for b in G.basis]
+    if None in columns:
+        raise NotInvariant(f"[X, b] leaves the algebra for b = {G.basis[columns.index(None)]}")
+    return tuple(tuple(column.get(i, 0) for column in columns) for i in range(len(G.basis)))
 
 
 def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classification:
@@ -310,42 +324,27 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
     """
     if A.degenerate:
         raise DegenerateApproximation("cannot classify a degenerate approximating set")
-    k, m, n = A.k, A.m, A.dim
-    adjusted = A.adjusted_flags()
-    fields = A.fields
-
-    in_ideal: list[int] = []
-    outside: list[int] = []
-    for pos in range(k, m):
-        (in_ideal if G.contains(fields[pos]) else outside).append(pos)
+    k, m, n, fields, adjusted = A.k, A.m, A.dim, A.fields, A.adjusted_flags()
+    in_ideal = [pos for pos in range(k, m) if G.contains(fields[pos])]
+    outside = [pos for pos in range(k, m) if pos not in in_ideal]
     order = list(range(k)) + in_ideal + outside + list(range(m, n))
     l = k + len(in_ideal)
 
-    # derivation check, the contract for non-ideal fields, in L-coordinates
+    # derivation check, the contract for non-ideal fields, in L-coordinates:
+    # x is bracketed only with the ideal rows that its table rows reach
     ideal = _span(L._coords(b) for b in G.basis)
-    labels: list[str] = []
-    for new_pos, pos in enumerate(order):
-        if new_pos < l:
-            labels.append("invariant")
-            continue
-        x = L._coords(fields[pos])
-        if not all(ideal.contains(L._bracket(x, g)) for g in ideal.rows()):
-            raise NotInvariant(f"[X, G] leaves the ideal for X = {fields[pos]}")
-        labels.append("affine" if pos < m and adjusted[pos] else "linear")
+    xs = [L._coords(fields[pos]) for pos in order[l:]]
+    failed = [p for p, _, w in L._pair_brackets(xs, ideal.rows()) if not ideal.contains(w)]
+    if failed:
+        raise NotInvariant(f"[X, G] leaves the ideal for X = {fields[order[l + failed[0]]]}")
+    labels = ["invariant"] * l + ["affine" if pos < m and adjusted[pos] else "linear" for pos in order[l:]]
 
     # the fields have orders -1 and 0, so L_{<0} is a nilpotent ideal and
     # L / L_{<0} is L_0: L is solvable exactly when L_0 is
     L0 = L.subalgebra([{i: 1} for i, s in enumerate(L.orders(A.weights)) if s == 0])
     return Classification(
-        labels=tuple(labels),
-        k=k,
-        l=l,
-        m=m,
-        lie_dim=len(L.basis),
-        ideal_dim=len(G.basis),
-        ideal_nilpotent_step=nilpotent_step(G),
-        solvable=is_solvable(L0),
-        order=tuple(order),
+        labels=tuple(labels), k=k, l=l, m=m, lie_dim=len(L.basis), ideal_dim=len(G.basis),
+        ideal_nilpotent_step=nilpotent_step(G), solvable=is_solvable(L0), order=tuple(order),
     )
 
 

@@ -94,8 +94,9 @@ class SpanBasis:
     span, and membership coordinates are read off directly.
     """
 
-    def __init__(self) -> None:
-        self._rows: dict[Hashable, dict] = {}
+    def __init__(self, reduced: Iterable[dict] = ()) -> None:
+        # rows that already are a fully reduced basis, each with pivot 1, are taken as they are
+        self._rows: dict[Hashable, dict] = {max(r): dict(r) for r in reduced}
         self._index: dict[Hashable, int] | None = None
 
     @property

@@ -12,7 +12,7 @@ approximation still yields a (partial) report carrying the flag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -197,7 +197,8 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
     except (RankConditionFailure, DegreeBoundExceeded) as exc:
         exc.report = report  # type: ignore[attr-defined]
         raise
-    report.growth = growth
+    # the report keeps the flag's dims, not its walk, which lie_closure may finish
+    report.growth = replace(growth, walk=None)
 
     if options.weights not in ("auto", None):
         weights = check_weights(options.weights, frame.dim)
@@ -232,7 +233,8 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
         return report
 
     try:
-        L = lie_closure(A.fields)
+        # a frame that is its own approximation has the flag's walk finished
+        L = lie_closure(A.fields, walk=growth.walk)
     except DegreeBoundExceeded as exc:
         exc.report = report  # type: ignore[attr-defined]
         raise

@@ -343,8 +343,9 @@ class VectorField(_TermMap):
     reduces.  ``components`` (component j multiplies d/dx_j) is derived.
     ``support`` is the pair of bitmasks (dir, var): bit j of dir is set when
     the field has a component along d/dx_j, bit i of var when a coefficient
-    depends on x_i.  :func:`commute_by_support` reads them to skip brackets
-    that vanish for want of overlap.  Both are computed on first use.
+    depends on x_i.  :func:`commute_by_support` and the pair index of
+    :meth:`ars.liealg.LieBasis.from_span` read them to skip brackets that
+    vanish for want of overlap.  Both are computed on first use.
     """
 
     __slots__ = ("_components", "_support")
@@ -467,6 +468,16 @@ def variables_mask(exponents: Iterable[Exponents]) -> int:
             if k:
                 mask |= 1 << i
     return mask
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first: the coordinates that a support mask names."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def _applied(X: VectorField, terms: Iterable[tuple[tuple[int, Exponents], Fraction]], negate: bool = False):

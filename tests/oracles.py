@@ -72,7 +72,9 @@ def naive_substitute(d: dict, offsets, slopes, targets, dim: int) -> dict:
 def naive_apply(X: VectorField, f: dict) -> dict:
     out: dict = {}
     for j, comp in enumerate(X.components):
-        out = naive_add(out, naive_mul(poly_to_dict(comp), naive_diff(f, j)))
+        # a zero component or a zero f adds nothing; every other term is formed
+        if comp.terms and f:
+            out = naive_add(out, naive_mul(poly_to_dict(comp), naive_diff(f, j)))
     return out
 
 
@@ -227,9 +229,23 @@ def ideal_fields(algebra: list[VectorField], generators: list[VectorField], max_
 
 
 def _independent(fields: list[VectorField]) -> list[VectorField]:
+    """The fields, in order, that are independent of the ones before them.
+
+    One dense row per nonzero field over a shared monomial enumeration; each
+    row is reduced against the pivot rows kept so far, so every candidate
+    costs one elimination pass, not two ranks of the whole list.
+    """
+    nonzero = [f for f in fields if not f.is_zero]
+    pivots: list[tuple[int, list[Fraction]]] = []
     basis: list[VectorField] = []
-    for f in fields:
-        if not f.is_zero and not field_in_span(f, basis):
+    for f, row in zip(nonzero, field_rows(nonzero)):
+        for col, pivot_row in pivots:
+            if row[col] != 0:
+                factor = row[col]
+                row = [a - factor * b for a, b in zip(row, pivot_row)]
+        col = next((c for c, x in enumerate(row) if x != 0), None)
+        if col is not None:
+            pivots.append((col, [x / row[col] for x in row]))
             basis.append(f)
     return basis
 
@@ -273,6 +289,32 @@ def structure(L) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         tuple(tuple(row.get(j, empty).get(k, zero) for k in range(size)) for j in range(size))
         for row in L._table
     )
+
+
+def all_pairs_structure(basis: list[VectorField]) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """Dense structure constants c[i][j][k] of a canonical reduced basis, from every ordered pair.
+
+    Each [b_i, b_j] is formed with naive_bracket: no support filter, no
+    antisymmetry.  Its coordinates are its coefficients at the leading keys
+    (b_k has 1 at its own and 0 at every other), and summing them back must
+    give the bracket.
+    """
+    leads = [max(b.terms) for b in basis]
+    for b, lead in zip(basis, leads):
+        assert b.terms[lead] == 1 and sum(lead in other.terms for other in basis) == 1
+    table = []
+    for X in basis:
+        row = []
+        for Y in basis:
+            terms = dict(naive_bracket(X, Y).terms)
+            coords = tuple(terms.get(lead, Fraction(0)) for lead in leads)
+            back: dict = {}
+            for c, b in zip(coords, basis):
+                back = naive_add(back, {key: c * a for key, a in b.terms.items()})
+            assert back == terms, "the bracket leaves the span of the basis"
+            row.append(coords)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def naive_flag_dims(fields: list[VectorField], point, depth: int) -> list[int]:

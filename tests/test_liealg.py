@@ -23,7 +23,16 @@ from ars.liealg import (
 )
 from ars.symcore import ArsError, Frame, Polynomial, VectorField, frame_rank_at, lie_bracket, linear_combination
 
-from oracles import closure_fields, derived_dims, ideal_fields, lower_central_dims, spans_equal, structure
+from oracles import (
+    all_pairs_structure,
+    closure_fields,
+    derived_dims,
+    ideal_fields,
+    lower_central_dims,
+    spans_equal,
+    structure,
+)
+from test_approx import random_frame
 
 
 def var(dim, j):
@@ -524,6 +533,18 @@ def test_classification_rejects_non_ideal(grushin_frame):
         classify_fields(A, L, G)
 
 
+def test_classification_names_the_field_that_leaves_the_ideal(e1_frame):
+    # G = span{d/dx, d/dy} is invariant under x d/dy but not under y^2 d/dz,
+    # which comes second among the fields outside G: [y^2 d/dz, d/dy] = -2y d/dz
+    _, w = growth_vector(e1_frame)
+    A = build_approximation(e1_frame, w)
+    L = lie_closure(A.fields)
+    G = lie_closure([VectorField.coordinate(3, 0), VectorField.coordinate(3, 1)])
+    assert [str(f) for f in A.fields[1:]] == ["x1 d/dx2", "x2^2 d/dx3"]
+    with pytest.raises(NotInvariant, match=r"for X = x2\^2 d/dx3$"):
+        classify_fields(A, L, G)
+
+
 def test_classification_refuses_degenerate(degenerate_frame):
     from ars.approx import DegenerateApproximation
 
@@ -633,6 +654,59 @@ def test_subalgebra_tables_match_from_span(e1_frame, e2_frame, e3_frame):
     dense = structure(L3)
     assert structure(L0) == tuple(tuple(tuple(dense[i][j][k] for k in index) for j in index) for i in index)
     assert len(cases) >= 37
+
+
+def _x_power_frame(k):
+    # X1 = d/dx, X2 = 3/7 x^k d/dy
+    return Frame(("x", "y"), [VectorField.coordinate(2, 0), only_component(2, 1, Fraction(3, 7) * var(2, 0) ** k)])
+
+
+def test_closure_from_the_flag_walk_matches_a_fresh_closure(e1_frame, e2_frame, e3_frame):
+    # when the approximating fields are the frame's own, lie_closure finishes
+    # the walk that the flag stopped at full rank; its basis and table must
+    # be those of a fresh walk, and any other frame must get a fresh walk
+    families = [_grushin_pow_fields(n) for n in range(3, 10)] + [_chain_fields(n) for n in range(3, 8)]
+    frames = [(frame, None) for frame in (e1_frame, e2_frame, e3_frame)]
+    frames += [(Frame([f"x{i}" for i in range(len(fields))], fields), None) for fields in families]
+    frames += [(_x_power_frame(k), None) for k in (16, 24, 40)]
+    rng = random.Random(3)  # the random frames of test_approx.py
+    frames += [(random_frame(rng, rng.randint(2, 4)), 4) for _ in range(80)]
+    finished, owns = [], []
+    for frame, depth in frames:
+        try:
+            growth, w = growth_vector(frame, max_depth=depth)
+        except ArsError:
+            continue
+        A = build_approximation(frame, w)
+        fresh = lie_closure(A.fields)
+        walked = lie_closure(A.fields, walk=growth.walk)
+        assert walked.basis == fresh.basis and walked._table == fresh._table
+        own = [f for f in A.fields if not f.is_zero] == [f for f in frame.fields if not f.is_zero]
+        # a flag that needs no bracket keeps no walk
+        assert (growth.walk is None) == (len(growth.dims) == 1)
+        finished.append(growth.walk is not None and walked._span is growth.walk.span)
+        assert finished[-1] == (own and growth.walk is not None)
+        owns.append(own)
+    # E1, E3, grushin_pow, chain and x^k are their own approximations and E2
+    # is not; of the 50 random frames whose flag reaches full rank, one is,
+    # but its generators alone have full rank, so no walk is kept for it
+    assert finished[:18] == owns[:18] == [True, False] + [True] * 16
+    assert len(finished) == 18 + 50 and sum(owns[18:]) == 1 and not any(finished[18:])
+
+
+def test_from_span_tables_match_the_all_pairs_oracle(e1_frame, e2_frame, e3_frame):
+    # from_span brackets only the pairs that its direction/variable index
+    # yields; the oracle brackets every ordered pair, with no support filter
+    algebras = [L for _, L, _ in _paper_algebras(e1_frame, e2_frame, e3_frame)]
+    algebras += [lie_closure(fields) for fields in [_grushin_pow_fields(n) for n in range(3, 8)]]
+    algebras += [lie_closure(fields) for fields in [_chain_fields(n) for n in range(3, 7)]]
+    algebras += [lie_closure(_x_power_frame(k).fields) for k in (16, 24)]
+    algebras += [H for _, L, G in _random_homogeneous_ideals() for H in (L, G)]
+    for H in algebras:
+        tabulated = LieBasis.from_span(H.dim, H._span)
+        assert tabulated.basis == H.basis
+        assert structure(tabulated) == all_pairs_structure(list(H.basis))
+    assert len(algebras) >= 70
 
 
 def test_solvability_of_order_zero_part_matches_whole_algebra(e1_frame, e2_frame, e3_frame):
