@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 parse or usage error (a frame file that cannot be
 read as UTF-8 text, a --json path that cannot be written, an option that
-does not fit the frame, an ARS_MAX_DEGREE that is not an integer >= 1, or
-codims n < 2), 3 rank-condition failure, 4 the coordinates are not
-privileged for the weights, 5 degenerate approximation (the report is still
-written), 6 a bracket exceeded the degree cap ARS_MAX_DEGREE.  Every exit
+does not fit the frame, a --max-bracket-depth below 1, an ARS_MAX_DEGREE
+that is not an integer >= 1, or codims n < 2), 3 rank-condition failure,
+4 the coordinates are not privileged for the weights, 5 degenerate
+approximation (the report is still written), 6 a bracket exceeded the
+degree cap ARS_MAX_DEGREE.  Every exit
 2, 3, 4 and 6 prints one ``label: message`` line on stderr and writes a
 JSON diagnostic, to stdout when the --json path cannot be written.
 """
@@ -130,6 +131,8 @@ def _check_usage(options: AnalyzeOptions, dim: int) -> None:
         as_point(options.point, dim)
     if options.stratify and options.samples < 1:
         raise ValueError(f"--samples must be at least 1 with --stratify, got {options.samples}")
+    if options.max_bracket_depth is not None and options.max_bracket_depth < 1:
+        raise ValueError(f"--max-bracket-depth must be at least 1, got {options.max_bracket_depth}")
 
 
 def _run_analysis(args, command: str) -> int:

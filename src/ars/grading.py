@@ -247,9 +247,12 @@ def growth_vector(
     :func:`check_privileged`.  The growth vector carries the flag's walk,
     which :func:`ars.liealg.lie_closure` of the frame's own fields finishes.
 
-    Raises RankConditionFailure when the flag cannot reach full rank, and
-    DegreeBoundExceeded when a bracket exceeds the degree cap ARS_MAX_DEGREE.
+    Raises RankConditionFailure when the flag cannot reach full rank,
+    DegreeBoundExceeded when a bracket exceeds the degree cap ARS_MAX_DEGREE,
+    and ValueError when max_depth is below 1.
     """
+    if max_depth is not None and max_depth < 1:
+        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     pt = as_point(point, frame.dim) if point is not None else frame.base_point
     depth = max_depth if max_depth is not None else 2 * frame.dim * max(1, frame.max_component_degree())
     dims, step, walk = _flag_levels(frame, pt, depth, max_degree_cap())

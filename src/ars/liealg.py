@@ -5,10 +5,10 @@ algebra with its sparse structure constants.  Fields are bracketed only by
 the one walk :class:`ars.grading.BracketWalk`, which the flag starts and
 :func:`lie_closure` finishes, and by :meth:`LieBasis.from_span`, which
 tabulates L; pairs come from an index that yields only those that may
-bracket nonzero (:func:`_overlapping_pairs`).  G and L_0 read their tables
-off L's with no second echelon (:meth:`LieBasis.subalgebra`).  All else
-runs exactly on sparse coordinate vectors {basis index: c} with the
-table's nonzero entries.  L is graded with orders -1 and 0
+bracket nonzero (:func:`_overlapping_pairs`).  G and L_0 are spans of L's
+coordinate rows, tabulated off L's table (:meth:`LieBasis.subalgebra`);
+all else runs exactly on sparse coordinate vectors {basis index: c} with
+the table's nonzero entries.  L is graded with orders -1 and 0
 (:meth:`LieBasis.orders`), so L_{<0} is a nilpotent ideal with quotient L_0
 and L is solvable exactly when L_0 is: the derived series runs on L_0 only.
 The lower central series of G is read off the iterated brackets of a
@@ -50,8 +50,7 @@ class LieBasis:
     only the nonzero brackets: ``_table[i][j] = {k: c}`` with every c nonzero
     and [b_i, b_j] = sum_k c b_k; a missing j means [b_i, b_j] = 0.
     Elements are also handled as coordinate vectors: sparse dicts from basis
-    index to coefficient, bracketed with the table alone; :meth:`ad` reads
-    the brackets of one vector with the whole basis from the nonzero entries.
+    index to coefficient, bracketed with the table's nonzero entries alone.
     """
 
     __slots__ = ("dim", "basis", "_span", "_table")
@@ -73,15 +72,9 @@ class LieBasis:
         """
         basis = [VectorField.from_terms(dim, row) for row in span.rows()]
         keys = [mask_bits(d) + [~b for b in mask_bits(v)] for d, v in (X.support for X in basis)]
-        table: list[dict] = [{} for _ in basis]
-        for i, j in _overlapping_pairs(keys, [[~key for key in row] for row in keys]):
-            entry = span.coordinates(lie_bracket(basis[i], basis[j]).terms)
-            if entry is None:
-                raise ArsError("internal error: span is not closed under brackets")
-            if entry:
-                table[i][j] = entry
-                table[j][i] = {k: -c for k, c in entry.items()}
-        return cls(dim, basis, table, span)
+        pairs = _overlapping_pairs(keys, [[~key for key in row] for row in keys])
+        entries = ((i, j, span.coordinates(lie_bracket(basis[i], basis[j]).terms)) for i, j in pairs)
+        return cls(dim, basis, _antisymmetric(len(basis), entries), span)
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -101,27 +94,23 @@ class LieBasis:
             raise GradedFrameUnavailable("the algebra is not spanned by homogeneous elements")
         return tuple(s for s, in orders)
 
-    def subalgebra(self, rows: Sequence[dict]) -> "LieBasis":
-        """The span of the coordinate rows, which must be closed under brackets.
+    def subalgebra(self, span: SpanBasis) -> "LieBasis":
+        """The subalgebra that a span of coordinate rows spans; the span must be closed under brackets.
 
-        Take R, the canonical rows of the span.  The field sum_k r_k b_k of
-        a row r has L's leading key of b_(max r), with coefficient 1, and no
-        other row's leading key, since b_k has keys up to its own leading
-        key only.  So these fields are the canonical reduced basis of the
-        span of the rows' fields, and the bracket w of two rows has the
+        Take R, the span's canonical rows.  The field sum_k r_k b_k of a row
+        r has L's leading key of b_(max r), with coefficient 1, and no other
+        row's leading key, since b_k has keys up to its own leading key
+        only.  So these fields are the canonical reduced basis of the span
+        of the rows' fields, and the bracket w of two rows has the
         subalgebra coordinates w at the rows' leading indices: the table is
         read off this one with no field bracketed and no second echelon.
+        Conversely, the L-coordinates of a canonical reduced basis of a
+        subspace of L are canonical rows.
         """
-        coords = _span(rows).rows()
+        coords, leads = span.rows(), {k: p for p, k in enumerate(span.leading_keys())}
         basis = [linear_combination(((c, self.basis[k]) for k, c in r.items()), self.dim) for r in coords]
-        leads = {max(r): p for p, r in enumerate(coords)}
-        table: list[dict] = [{} for _ in basis]
-        for p, q, w in self._pair_brackets(coords):
-            entry = {leads[k]: c for k, c in w.items() if k in leads}
-            if entry:
-                table[p][q] = entry
-                table[q][p] = {r: -c for r, c in entry.items()}
-        return LieBasis(self.dim, basis, table, SpanBasis(b.terms for b in basis))
+        entries = ((p, q, {leads[k]: c for k, c in w.items() if k in leads}) for p, q, w in self._pair_brackets(coords))
+        return LieBasis(self.dim, basis, _antisymmetric(len(basis), entries), SpanBasis(b.terms for b in basis))
 
     def _coords(self, X: VectorField) -> dict:
         """Sparse coordinate vector of X; ValueError when X is outside the algebra."""
@@ -148,18 +137,6 @@ class LieBasis:
         upper, others = others is None, rows if others is None else others
         pairs = _overlapping_pairs([set().union(*(self._table[i] for i in u)) for u in rows], others, upper)
         return ((p, q, self._bracket(rows[p], others[q])) for p, q in pairs)
-
-    def ad(self, v: dict) -> list[dict]:
-        """The nonzero brackets [v, b_i] of a coordinate vector with the basis.
-
-        [v, b_i] = sum_j v_j [b_j, b_i], so only the nonzero entries of the
-        table's rows j in v are visited.
-        """
-        columns: dict = {}
-        for j, a in v.items():
-            for i, entry in self._table[j].items():
-                columns.setdefault(i, []).extend((k, a * c) for k, c in entry.items())
-        return [w for w in map(_accumulate, columns.values()) if w]
 
     def __repr__(self) -> str:
         return f"LieBasis(dim={len(self.basis)}, ambient={self.dim})"
@@ -214,16 +191,14 @@ def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
     """Smallest ideal of L containing the generators.
 
     It is the smallest subspace of L's coordinates that holds the generators
-    and is invariant under every ad(b_i): each vector that grows the span adds
-    its brackets [v, b_i].  :meth:`LieBasis.subalgebra` reads its table off L's.
+    and is invariant under every ad(b_i): each layer of vectors that grew the
+    span adds their brackets with the basis.  :meth:`LieBasis.subalgebra` tabulates it.
     """
-    coords = SpanBasis()
-    todo = [L._coords(g) for g in generators]
-    while todo:
-        v = todo.pop()
-        if coords.insert(v):
-            todo.extend(L.ad(v))
-    return L.subalgebra(coords.rows())
+    coords, units = SpanBasis(), [{i: 1} for i in range(len(L))]
+    grew = [v for v in map(L._coords, generators) if coords.insert(v)]
+    while grew:
+        grew = [w for _, _, w in L._pair_brackets(grew, units) if w and coords.insert(w)]
+    return L.subalgebra(coords)
 
 
 def _span(vectors: Iterable[dict]) -> SpanBasis:
@@ -231,6 +206,18 @@ def _span(vectors: Iterable[dict]) -> SpanBasis:
     for v in vectors:
         span.insert(v)
     return span
+
+
+def _antisymmetric(size: int, entries: Iterable[tuple]) -> list[dict]:
+    """Sparse table of the entries (i, j, [b_i, b_j]), i < j, and their negatives; None leaves the span."""
+    table: list[dict] = [{} for _ in range(size)]
+    for i, j, entry in entries:
+        if entry is None:
+            raise ArsError("internal error: span is not closed under brackets")
+        if entry:
+            table[i][j] = entry
+            table[j][i] = {k: -c for k, c in entry.items()}
+    return table
 
 
 def _overlapping_pairs(left: Sequence[Iterable], right: Sequence[Iterable], upper: bool = True) -> list[tuple[int, int]]:
@@ -325,15 +312,16 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
     if A.degenerate:
         raise DegenerateApproximation("cannot classify a degenerate approximating set")
     k, m, n, fields, adjusted = A.k, A.m, A.dim, A.fields, A.adjusted_flags()
-    in_ideal = [pos for pos in range(k, m) if G.contains(fields[pos])]
+    # G's basis is canonical, so its L-coordinates are canonical rows
+    ideal, coords = SpanBasis(L._coords(b) for b in G.basis), {pos: L._coords(fields[pos]) for pos in range(k, n)}
+    in_ideal = [pos for pos in range(k, m) if ideal.contains(coords[pos])]
     outside = [pos for pos in range(k, m) if pos not in in_ideal]
     order = list(range(k)) + in_ideal + outside + list(range(m, n))
     l = k + len(in_ideal)
 
     # derivation check, the contract for non-ideal fields, in L-coordinates:
     # x is bracketed only with the ideal rows that its table rows reach
-    ideal = _span(L._coords(b) for b in G.basis)
-    xs = [L._coords(fields[pos]) for pos in order[l:]]
+    xs = [coords[pos] for pos in order[l:]]
     failed = [p for p, _, w in L._pair_brackets(xs, ideal.rows()) if not ideal.contains(w)]
     if failed:
         raise NotInvariant(f"[X, G] leaves the ideal for X = {fields[order[l + failed[0]]]}")
@@ -341,7 +329,7 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
 
     # the fields have orders -1 and 0, so L_{<0} is a nilpotent ideal and
     # L / L_{<0} is L_0: L is solvable exactly when L_0 is
-    L0 = L.subalgebra([{i: 1} for i, s in enumerate(L.orders(A.weights)) if s == 0])
+    L0 = L.subalgebra(SpanBasis({i: 1} for i, s in enumerate(L.orders(A.weights)) if s == 0))
     return Classification(
         labels=tuple(labels), k=k, l=l, m=m, lie_dim=len(L.basis), ideal_dim=len(G.basis),
         ideal_nilpotent_step=nilpotent_step(G), solvable=is_solvable(L0), order=tuple(order),

@@ -233,6 +233,14 @@ def test_depth_bound_triggers_rank_failure(e1_frame):
         growth_vector(e1_frame, max_depth=2)
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_depth_below_one_is_a_value_error(depth):
+    # on d/dx, d/dy the flag has full rank with no bracket, so only the check refuses a depth below 1
+    for text in ("vars x y\nfield X1 = d/dx\nfield X2 = x d/dy\n", "vars x y\nfield X1 = d/dx\nfield X2 = d/dy\n"):
+        with pytest.raises(ValueError, match=f"max_depth must be at least 1, got {depth}"):
+            growth_vector(parse_frame(text).to_frame(), max_depth=depth)
+
+
 # --- the bracket flag against every bracket word ------------------------------
 
 FLAG_DEPTH = 4

@@ -13,6 +13,7 @@ from ars.liealg import (
     GradedFrameUnavailable,
     LieBasis,
     NotInvariant,
+    _span,
     adjoint_matrix,
     classify_fields,
     graded_frame,
@@ -147,6 +148,13 @@ def test_ideal_e1(e1_frame):
     # the other two hat fields stay outside (nilpotent case)
     assert not G.contains(e1_frame.fields[1])
     assert not G.contains(e1_frame.fields[2])
+    # the ideal of d/dx1 in the scaling families and in x^16 d/dy: the layers
+    # of ideal_closure must reach the oracle's all-pairs closure
+    families = [_grushin_pow_fields(n) for n in (5, 6, 7)] + [_chain_fields(n) for n in (5, 6)]
+    for fields in families + [list(_x_power_frame(16).fields)]:
+        L = lie_closure(fields)
+        G = ideal_closure(L, fields[:1])
+        assert spans_equal(list(G.basis), ideal_fields(list(L.basis), fields[:1]))
 
 
 def test_ideal_e2_from_original_frame(e2_frame):
@@ -643,7 +651,7 @@ def test_subalgebra_tables_match_from_span(e1_frame, e2_frame, e3_frame):
     # E3's L_0 is sl2, a subalgebra but not an ideal
     A, L3, _ = _analysis(e3_frame)
     index = [i for i, s in enumerate(L3.orders(A.weights)) if s == 0]
-    L0 = L3.subalgebra([{i: 1} for i in index])
+    L0 = L3.subalgebra(SpanBasis({i: 1} for i in index))
     assert len(L0) == 3 and not all(L0.contains(lie_bracket(b, g)) for b in L3.basis for g in L0.basis)
     cases.append((L3, L0))
     for L, H in cases:
@@ -654,6 +662,25 @@ def test_subalgebra_tables_match_from_span(e1_frame, e2_frame, e3_frame):
     dense = structure(L3)
     assert structure(L0) == tuple(tuple(tuple(dense[i][j][k] for k in index) for j in index) for i in index)
     assert len(cases) >= 37
+
+
+def test_l_coordinates_of_a_canonical_basis_are_canonical_rows(e1_frame, e2_frame, e3_frame, grushin_frame):
+    # classify_fields takes G's L-coordinate rows as they are: the converse of
+    # the lemma in LieBasis.subalgebra, for ideals and for lie_closure-built G's
+    cases = [(L, G) for _, L, G in _paper_algebras(e1_frame, e2_frame, e3_frame)]
+    for fields in [_grushin_pow_fields(n) for n in (5, 6, 7)] + [_chain_fields(n) for n in (5, 6)]:
+        L = lie_closure(fields)
+        cases.append((L, ideal_closure(L, fields[:1])))
+    cases += [(L, G) for _, L, G in _random_homogeneous_ideals()]
+    # the G's of the two classification tests that refuse a non-ideal
+    for frame, gens in ((grushin_frame, 1), (e1_frame, 2)):
+        _, w = growth_vector(frame)
+        L = lie_closure(build_approximation(frame, w).fields)
+        cases.append((L, lie_closure([VectorField.coordinate(frame.dim, j) for j in range(gens)])))
+    for L, G in cases:
+        rows = [L._coords(b) for b in G.basis]
+        assert rows == _span(rows).rows()
+    assert len(cases) >= 38
 
 
 def _x_power_frame(k):
@@ -721,7 +748,7 @@ def test_solvability_of_order_zero_part_matches_whole_algebra(e1_frame, e2_frame
         assert orders == tuple(s for b in L.basis for s in homogeneous_orders(b, weights))
         assert all(s <= 0 for s in orders)
         index = [i for i, s in enumerate(orders) if s == 0]
-        L0 = L.subalgebra([{i: 1} for i in index])
+        L0 = L.subalgebra(SpanBasis({i: 1} for i in index))
         # L_0's table is L's, restricted
         dense, dense0 = structure(L), structure(L0)
         assert list(L0.basis) == [L.basis[i] for i in index]

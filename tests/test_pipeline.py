@@ -9,6 +9,7 @@ import pytest
 
 import ars.grading
 import ars.liealg
+import ars.linalg
 from ars.cli import main
 from ars.approx import build_approximation
 from ars.grading import RankConditionFailure, coordinate_orders, growth_vector
@@ -175,6 +176,26 @@ def test_bracket_counts_by_caller(text, expected, monkeypatch):
     monkeypatch.setattr(ars.liealg, "lie_bracket", counting)
     analyze(parse_frame(text))
     assert dict(counts) == expected
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [(E3_TEXT, 123), ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 333)],
+    ids=["E3", "3/7 x^40 d/dy"],
+)
+def test_span_inserts_per_analyze(text, expected, monkeypatch):
+    # subalgebra and classify_fields take rows that are already canonical as
+    # they are, and ideal_closure inserts each layer's nonzero brackets once
+    calls = []
+    insert = ars.linalg.SpanBasis.insert
+
+    def counting(self, vec):
+        calls.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(ars.linalg.SpanBasis, "insert", counting)
+    analyze(parse_frame(text))
+    assert len(calls) == expected
 
 
 def _chain_text(n: int) -> str:
@@ -462,10 +483,20 @@ def test_document_weights_line_overrides_auto():
         analyze(bad)
 
 
-def test_cli_max_bracket_depth(tmp_path):
+def test_cli_max_bracket_depth(tmp_path, capsys):
     src = _write(tmp_path, "e1.frame", E1_TEXT)
     assert main(["analyze", src, "--max-bracket-depth", "2"]) == 3
     assert main(["analyze", src, "--max-bracket-depth", "8"]) == 0
+    # a depth below 1 is a usage error, not a rank-condition failure, even
+    # on a frame whose flag needs one bracket
+    grushin = _write(tmp_path, "grushin.frame", "vars x y\nfield X1 = d/dx\nfield X2 = x d/dy\n")
+    for depth in ("0", "-3"):
+        capsys.readouterr()
+        out = tmp_path / "diag.json"
+        assert main(["analyze", grushin, "--max-bracket-depth", depth, "--json", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --max-bracket-depth must be at least 1, got {depth}\n"
+        assert json.loads(out.read_text())["error"]["kind"] == "usage_error"
 
 
 def test_analyze_e2_records_convention(e2_doc):
