@@ -48,6 +48,8 @@ def _parse_point(text: str):
         return tuple(Fraction(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad point {text!r}: {exc}")
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"bad point {text!r}: zero denominator")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

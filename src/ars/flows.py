@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .approx import check_triangular_complete
 from .grading import check_weights, homogeneous_orders
-from .symcore import ArsError, Polynomial, VectorField, as_fraction, as_point, vf_apply
+from .symcore import ArsError, VectorField, as_fraction, as_point, vf_apply
 
 DEFAULT_TRUNCATION_ORDER = 30
 DEFAULT_BLOWUP_THRESHOLD = 1e12
@@ -83,6 +83,9 @@ def lie_series_flow_result(
 ) -> FlowResult:
     """Like :func:`lie_series_flow`, reporting whether the series was cut.
 
+    One pass serves every coordinate: the fields g_1 = X and g_s = X g_(s-1)
+    (:func:`~ars.symcore.vf_apply` component by component) have component j
+    equal to X^s x_j, so step s of every series is read off g_s.
     ``truncation_order`` in the result is None when every coordinate's
     series terminated on its own (the endpoint is exact), and the applied
     cutoff otherwise.
@@ -95,29 +98,15 @@ def lie_series_flow_result(
     strict = is_strictly_triangular(X, w)
     cutoff = truncation_order if truncation_order is not None else DEFAULT_TRUNCATION_ORDER
 
-    endpoint = []
-    truncated = False
-    for j in range(X.dim):
-        g = Polynomial.variable(X.dim, j)
-        total = g.evaluate(pt)
-        t_power = Fraction(1)
-        s = 0
-        while True:
-            g = vf_apply(X, g)
-            s += 1
-            if g.is_zero:
-                break
-            if strict and s > w[j]:
-                raise ArsError(
-                    f"internal error: series for coordinate {j} outlived its bound {w[j]}"
-                )
-            if not strict and s > cutoff:
-                truncated = True
-                break
-            t_power = t_power * tt / s
-            total += t_power * g.evaluate(pt)
-        endpoint.append(total)
-    return FlowResult(tuple(endpoint), "lie_series", False, truncation_order=cutoff if truncated else None)
+    endpoint, t_power, g, s = list(pt), Fraction(1), X, 1
+    while not g.is_zero and (strict or s <= cutoff):
+        if strict and (outlived := [j for j, _ in g.terms if s > w[j]]):
+            j = min(outlived)
+            raise ArsError(f"internal error: series for coordinate {j} outlived its bound {w[j]}")
+        t_power = t_power * tt / s
+        endpoint = [total + t_power * v for total, v in zip(endpoint, g._evaluate(pt))]
+        g, s = vf_apply(X, g), s + 1
+    return FlowResult(tuple(endpoint), "lie_series", False, truncation_order=None if g.is_zero else cutoff)
 
 
 def rk4_flow(

@@ -28,11 +28,11 @@ from .symcore import (
     Point,
     Polynomial,
     VectorField,
+    _values,
     as_point,
     commute_by_support,
     lie_bracket,
     max_degree_cap,
-    variables_mask,
     vf_apply,
 )
 
@@ -188,49 +188,43 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
 def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: int | None = None) -> list[int | None]:
     """Nonholonomic order of each coordinate function at a point.
 
-    The order of x_j - p_j is the length of the shortest word of frame
-    derivatives whose value at p is nonzero.  Words are explored
-    breadth-first up to max_length; None marks an order beyond the bound.
-    Derivatives linearly dependent on ones already seen are pruned, which
-    keeps each level finite without changing the first nonzero length.
+    The order of x_j - p_j is the length of the shortest word X_I of frame
+    derivatives with (X_I x_j)(p) != 0.  X_I applied to the coordinate
+    functions is one field, whose component j is X_I x_j, so one
+    breadth-first walk over fields finds every order.  The words of length 1
+    are the frame's fields; the next level drops from each field g the
+    components whose order is known and applies every frame field X with
+    dir(X) & var(g) != 0 (otherwise X g = 0).  Words are explored up to
+    max_length; None marks an order beyond the bound.  Each level keeps a
+    basis of its span: a field that is a combination of others at its level
+    stays that combination, component by component, after every later word,
+    so pruning it keeps each level finite without changing the first
+    nonzero length.
     """
     pt = as_point(point, frame.dim) if point is not None else frame.base_point
     bound = max_length if max_length is not None else frame.dim * max(1, frame.max_component_degree()) * 2
     n = frame.dim
     orders: list[int | None] = [None] * n
-    for j in range(n):
-        f = Polynomial.variable(n, j) - Polynomial.constant(n, pt[j])
-        if f._evaluate(pt) != 0:
-            orders[j] = 0
-            continue
-        seen = SpanBasis()
-        seen.insert(f.terms)
-        level = [f]
-        for length in range(1, bound + 1):
-            next_level = []
-            found = False
-            for g in level:
-                depends = variables_mask(g.terms)
-                for X in frame.fields:
-                    # X g = 0 when X has no direction that g depends on
-                    if not X.support[0] & depends:
-                        continue
-                    d = vf_apply(X, g)
-                    if d.is_zero:
-                        continue
-                    if d._evaluate(pt) != 0:
-                        found = True
-                        break
-                    if seen.insert(d.terms):
-                        next_level.append(d)
-                if found:
-                    break
-            if found:
-                orders[j] = length
-                break
-            if not next_level:
-                break
-            level = next_level
+    directions = [(X, X.support[0]) for X in frame.fields]
+    level = frame.fields
+    for length in range(1, bound + 1):
+        if len(level) > 1:  # a lone field is its level's basis, or zero and without successors
+            span = SpanBasis()
+            level = [g for g in level if span.insert(g.terms)]
+        # component j of level[i] is polynomial i * n + j of one evaluation pass
+        terms = [((i * n + j, e), c) for i, g in enumerate(level) for (j, e), c in g.terms.items()]
+        values = _values(pt, terms, len(level) * n)
+        for (slot, _), _ in terms:
+            if orders[slot % n] is None and values[slot]:
+                orders[slot % n] = length
+        if None not in orders or length == bound:
+            break
+        next_level = []
+        for g in level:
+            g = VectorField.from_terms(n, {k: c for k, c in g.terms.items() if orders[k[0]] is None})
+            var = g.support[1]
+            next_level += [vf_apply(X, g) for X, d in directions if d & var]
+        level = next_level
     return orders
 
 

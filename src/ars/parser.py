@@ -101,7 +101,8 @@ def parse_frame(text: str) -> FrameDocument:
                 raise ParseError("duplicate weights line", lineno, col)
             weights = []
             for tok, tcol in tokens[1:]:
-                if not tok.isdigit() or int(tok) < 1:
+                # isdecimal, not isdigit: int() refuses digits such as '²'
+                if not tok.isdecimal() or int(tok) < 1:
                     raise ParseError(f"weights must be positive integers, got {tok!r}", lineno, tcol)
                 weights.append(int(tok))
         elif head == "point":
@@ -111,7 +112,7 @@ def parse_frame(text: str) -> FrameDocument:
             for tok, tcol in tokens[1:]:
                 if not _RATIONAL.match(tok):
                     raise ParseError(f"point entries must be rationals, got {tok!r}", lineno, tcol)
-                base_point.append(Fraction(tok))
+                base_point.append(_rational(tok, lineno, tcol))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, col)
 
@@ -133,6 +134,14 @@ def parse_frame(text: str) -> FrameDocument:
         weights=tuple(weights) if weights is not None else None,
         base_point=tuple(base_point) if base_point is not None else None,
     )
+
+
+def _rational(tok: str, lineno: int, tcol: int) -> Fraction:
+    """The value of a token that matches _RATIONAL; a zero denominator is a ParseError."""
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {tok!r}", lineno, tcol) from None
 
 
 def _split_signs(tokens):
@@ -185,7 +194,7 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
         if _RATIONAL.match(tok):
             if coef is not None or has_factor:
                 raise ParseError("coefficient must come first in a term", lineno, tcol)
-            coef = as_coefficient(tok)
+            coef = as_coefficient(_rational(tok, lineno, tcol))
             started = True
             continue
         mono = _MONOMIAL.match(tok)

@@ -13,8 +13,10 @@ exponents) for a field.  Their shared base defines the sum, difference,
 negation, scalar multiple, equality, hash and trusted constructor
 ``from_terms`` once.  Both printers follow one rule (:func:`_signed_sum`)
 over terms in descending graded lexicographic order, a field's grouped by
-component.  :func:`vf_apply` is the one derivative: a partial derivative
-is ``vf_apply(VectorField.coordinate(n, j), f)``.
+component.  :func:`vf_apply` is the one derivative, of a polynomial or of
+a field component by component: a partial derivative is
+``vf_apply(VectorField.coordinate(n, j), f)``, and X applied to the
+coordinate functions x_1, ..., x_n is the field X itself.
 """
 
 from __future__ import annotations
@@ -494,10 +496,12 @@ def _applied(X: VectorField, terms: Iterable[tuple[tuple[int, Exponents], Fracti
                 yield (j, tuple(map(add, g, f))), a * b * k
 
 
-def vf_apply(X: VectorField, f: Polynomial) -> Polynomial:
-    """Directional derivative Xf = sum_j X_j df/dx_j."""
+def vf_apply(X: VectorField, f: Polynomial | VectorField) -> Polynomial | VectorField:
+    """Directional derivative Xf = sum_j X_j df/dx_j, of a polynomial or of each component of a field."""
     if X.dim != f.dim:
-        raise ValueError(f"dimension mismatch: field {X.dim} vs polynomial {f.dim}")
+        raise ValueError(f"dimension mismatch: {X.dim} vs {f.dim}")
+    if isinstance(f, VectorField):
+        return VectorField.from_terms(f.dim, _accumulate(_applied(X, f.terms.items())))
     pairs = _applied(X, (((0, e), c) for e, c in f.terms.items()))
     return Polynomial.from_terms(f.dim, {e: c for (_, e), c in _accumulate(pairs).items()})
 

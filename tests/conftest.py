@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from ars.parser import parse_frame
@@ -122,3 +125,19 @@ def grushin_frame():
 @pytest.fixture(scope="session")
 def tangential_frame():
     return parse_frame(TANGENTIAL_TEXT).to_frame()
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError after ``seconds`` of wall time, so a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -334,6 +334,60 @@ def naive_flag_dims(fields: list[VectorField], point, depth: int) -> list[int]:
     return dims
 
 
+def _dict_value(d: dict, point) -> Fraction:
+    return sum((c * math.prod(Fraction(p) ** k for p, k in zip(point, e)) for e, c in d.items()), Fraction(0))
+
+
+def naive_coordinate_orders(frame, point, max_length: int) -> list[int | None]:
+    """Order of each x_j - p_j at the point: the shortest frame word up to max_length with a nonzero value there.
+
+    Every word X_i1 X_i2 ... X_is is applied to each coordinate function on
+    its own, with no pruning of dependent derivatives and no support test;
+    only words whose derivative is already the zero polynomial are dropped,
+    since every longer word through them is zero too.  None marks an order
+    beyond max_length.
+    """
+    n = frame.dim
+    pt = [Fraction(p) for p in point]
+    orders: list[int | None] = []
+    for j in range(n):
+        unit = tuple(int(i == j) for i in range(n))
+        level = [naive_add({unit: Fraction(1)}, {(0,) * n: -pt[j]})]
+        order = None
+        for length in range(1, max_length + 1):
+            level = [d for f in level for X in frame.fields if (d := naive_apply(X, f))]
+            if any(_dict_value(d, pt) != 0 for d in level):
+                order = length
+                break
+        orders.append(order)
+    return orders
+
+
+def naive_series_flow(X: VectorField, point, t, cutoff: int) -> tuple[tuple[Fraction, ...], bool]:
+    """Endpoint sum_s t^s/s! (X^s x_j)(p) of each coordinate on its own, and whether a series was cut.
+
+    The series of x_j stops at the first s with X^s x_j = 0, or after
+    ``cutoff`` terms, which counts as cut when X^(cutoff + 1) x_j is nonzero.
+    """
+    n = X.dim
+    pt = [Fraction(p) for p in point]
+    t = Fraction(t)
+    endpoint, cut = [], False
+    for j in range(n):
+        g = {tuple(int(i == j) for i in range(n)): Fraction(1)}
+        total = pt[j]
+        for s in range(1, cutoff + 2):
+            g = naive_apply(X, g)
+            if not g:
+                break
+            if s > cutoff:
+                cut = True
+                break
+            total += t**s / math.factorial(s) * _dict_value(g, pt)
+        endpoint.append(total)
+    return tuple(endpoint), cut
+
+
 def naive_sample_coranks(frame, budget: int, seed: int, sampler=None) -> dict:
     """Corank > 0 samples by stratum, ranking every sample densely.
 

@@ -17,9 +17,9 @@ from ars.flows import (
     rk4_flow,
 )
 from ars.grading import growth_vector, nonholonomic_order_vf
-from ars.symcore import Polynomial, VectorField
+from ars.symcore import ArsError, Polynomial, VectorField
 
-from oracles import naive_rk4
+from oracles import naive_rk4, naive_series_flow, random_rational_point
 
 
 def var(dim, j):
@@ -248,3 +248,44 @@ def test_flow_result_reports_truncation():
 
     assert abs(float(res.endpoint[0]) - math.cosh(0.5)) < 1e-12
     assert abs(float(res.endpoint[1]) - math.sinh(0.5)) < 1e-12
+
+
+def _series_cases(e1_frame, e2_frame, e3_frame):
+    """(field, weights) for the approximating fields of E1-E3 and the truncated field above."""
+    cases = []
+    for frame in (e1_frame, e2_frame, e3_frame):
+        _, w = growth_vector(frame)
+        cases += [(X, w) for X in build_approximation(frame, w).fields]
+    Y = only_component(2, 0, var(2, 1)) + only_component(2, 1, var(2, 0))
+    return cases + [(Y, (1, 1))]
+
+
+def test_series_matches_per_coordinate_oracle(e1_frame, e2_frame, e3_frame):
+    from ars.flows import lie_series_flow_result
+
+    rng = random.Random(5)
+    cut = 0
+    for X, w in _series_cases(e1_frame, e2_frame, e3_frame):
+        for t in (Fraction(1, 2), Fraction(-3, 2), 2):
+            point = random_rational_point(rng, X.dim)
+            for cutoff in (3, 8):
+                res = lie_series_flow_result(X, point, t, w, truncation_order=cutoff)
+                # the series of a strictly triangular field ends by step max(w), whatever the cutoff
+                strict = is_strictly_triangular(X, w)
+                endpoint, truncated = naive_series_flow(X, point, t, max(w) if strict else cutoff)
+                assert res.endpoint == endpoint
+                assert res.truncation_order == (cutoff if truncated else None)
+                assert not (strict and truncated)
+                cut += truncated
+    assert cut > 0
+
+
+def test_series_names_the_coordinate_that_outlives_its_bound(monkeypatch):
+    import ars.flows
+
+    # d/dx + x d/dy is triangular but not strictly so for weights (1, 1): X X y = 1
+    # is a second step of y's series, which a strict field could not have
+    monkeypatch.setattr(ars.flows, "is_strictly_triangular", lambda X, w: True)
+    X = VectorField.coordinate(2, 0) + only_component(2, 1, var(2, 0))
+    with pytest.raises(ArsError, match="series for coordinate 1 outlived its bound 1"):
+        ars.flows.lie_series_flow_result(X, (0, 0), 1, (1, 1))

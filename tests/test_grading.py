@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,9 @@ from ars.grading import (
 from ars.parser import parse_frame
 from ars.symcore import Frame, Polynomial, VectorField
 
-from conftest import NOT_PRIVILEGED_TEXT, RANK_FAIL_TEXT
-from oracles import naive_flag_dims
+import conftest
+from conftest import NOT_PRIVILEGED_TEXT, RANK_FAIL_TEXT, time_limit
+from oracles import naive_coordinate_orders, naive_flag_dims, random_rational_point
 
 INF = math.inf
 
@@ -284,3 +286,58 @@ def test_flag_matches_every_bracket_word(drawn):
     step = naive.index(frame.dim) + 1
     assert growth.dims == tuple(naive[:step])
     assert growth.step == step
+
+
+# --- coordinate orders against every frame word --------------------------------
+
+
+def _family_text(n: int, rng: random.Random, chain: bool) -> str:
+    """grushin_pow(n) (Xi = c_i x1^(i-1) d/dxi) or chain(n) (Xi = c_i x(i-1) d/dxi), X1 = d/dx1."""
+    names = [f"x{i}" for i in range(1, n + 1)]
+    fields = ["d/dx1"] + [
+        f"{Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))} "
+        + (f"x{i - 1}" if chain else f"x1^{i - 1}") + f" d/dx{i}"
+        for i in range(2, n + 1)
+    ]
+    return "vars " + " ".join(names) + "\n" + "".join(f"field X{i + 1} = {f}\n" for i, f in enumerate(fields))
+
+
+def _random_frame(rng: random.Random) -> Frame:
+    """Fields on R^2 or R^3 with up to three terms of degree at most 2, so some are zero."""
+    dim = rng.randint(2, 3)
+    fields = []
+    for _ in range(dim):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            e = [0] * dim
+            for _ in range(rng.randint(0, 2)):
+                e[rng.randrange(dim)] += 1
+            terms[(rng.randrange(dim), tuple(e))] = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+        fields.append(VectorField.from_terms(dim, terms))
+    return Frame([f"x{j}" for j in range(dim)], fields)
+
+
+def test_coordinate_orders_match_every_frame_word():
+    rng = random.Random(2024)
+    texts = [getattr(conftest, name) for name in dir(conftest) if name.endswith("_TEXT")]
+    texts += [_family_text(n, rng, chain) for n in (3, 4, 5) for chain in (False, True)]
+    cases = []
+    for text in texts:
+        frame = parse_frame(text).to_frame()
+        cases += [(frame, frame.base_point, 5), (frame, random_rational_point(rng, frame.dim), 3)]
+    for _ in range(150):
+        frame = _random_frame(rng)
+        cases.append((frame, random_rational_point(rng, frame.dim), rng.randint(1, 4)))
+    beyond = not_privileged = 0
+    with time_limit(60):
+        for frame, point, max_length in cases:
+            orders = coordinate_orders(frame, point, max_length=max_length)
+            assert orders == naive_coordinate_orders(frame, point, max_length), (frame, point, max_length)
+            beyond += None in orders
+            try:
+                _, weights = growth_vector(frame, point=point, max_depth=4)
+            except RankConditionFailure:
+                continue
+            not_privileged += not check_privileged(frame, point, weights)
+    # the cases reach orders beyond the bound and points where the coordinates are not privileged
+    assert beyond >= 20 and not_privileged >= 5

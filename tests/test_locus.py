@@ -3,8 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +28,7 @@ from ars.parser import parse_frame
 from ars.pipeline import AnalyzeOptions, analyze
 from ars.symcore import Frame, Polynomial, VectorField
 
+from conftest import time_limit
 from oracles import (
     frame_cofactor_det,
     naive_float_roots,
@@ -447,22 +446,6 @@ def polys_with_known_roots(draw):
 def test_rational_roots_recovers_known_roots(case):
     coeffs, expected = case
     assert _rational_roots(list(coeffs)) == expected
-
-
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError after ``seconds`` of wall time, so a hang fails the test."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def expand(*factors):

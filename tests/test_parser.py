@@ -96,6 +96,24 @@ def test_bad_rational_literal():
         parse_frame("vars x\nfield X1 = 1.5 d/dx\n")
 
 
+@pytest.mark.parametrize(
+    ("text", "message", "position"),
+    [
+        ("vars x y\nfield A = d/dx\nfield B = x d/dy\nweights 1 \u00b2\n",
+         "weights must be positive integers, got '\u00b2'", (4, 11)),
+        ("vars x y\nfield A = d/dx\nfield B = x d/dy\npoint 0 1/0\n", "zero denominator in '1/0'", (4, 9)),
+        ("vars x y\nfield A = 1/0 d/dx\nfield B = x d/dy\n", "zero denominator in '1/0'", (2, 11)),
+    ],
+    ids=["superscript_weight", "point_zero_denominator", "coefficient_zero_denominator"],
+)
+def test_literals_that_int_or_fraction_refuse_are_parse_errors(text, message, position):
+    # each once escaped the parser as a ValueError or a ZeroDivisionError
+    with pytest.raises(ParseError) as err:
+        parse_frame(text)
+    assert (err.value.line, err.value.column) == position
+    assert str(err.value) == f"line {position[0]}, column {position[1]}: {message}"
+
+
 def test_bad_token_reports_position():
     with pytest.raises(ParseError) as err:
         parse_frame("vars x\nfield X1 = ??? d/dx\n")

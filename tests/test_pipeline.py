@@ -10,6 +10,7 @@ import pytest
 import ars.grading
 import ars.liealg
 import ars.linalg
+import ars.symcore
 from ars.cli import main
 from ars.approx import build_approximation
 from ars.grading import RankConditionFailure, coordinate_orders, growth_vector
@@ -180,12 +181,13 @@ def test_bracket_counts_by_caller(text, expected, monkeypatch):
 
 @pytest.mark.parametrize(
     ("text", "expected"),
-    [(E3_TEXT, 123), ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 333)],
+    [(E3_TEXT, 127), ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 293)],
     ids=["E3", "3/7 x^40 d/dy"],
 )
 def test_span_inserts_per_analyze(text, expected, monkeypatch):
     # subalgebra and classify_fields take rows that are already canonical as
-    # they are, and ideal_closure inserts each layer's nonzero brackets once
+    # they are, ideal_closure inserts each layer's nonzero brackets once, and
+    # coordinate_orders inserts each level's fields before reading their values
     calls = []
     insert = ars.linalg.SpanBasis.insert
 
@@ -194,6 +196,28 @@ def test_span_inserts_per_analyze(text, expected, monkeypatch):
         return insert(self, vec)
 
     monkeypatch.setattr(ars.linalg.SpanBasis, "insert", counting)
+    analyze(parse_frame(text))
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [(E3_TEXT, 9), ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 40)],
+    ids=["E3", "3/7 x^40 d/dy"],
+)
+def test_vf_apply_calls_per_analyze(text, expected, monkeypatch):
+    # coordinate_orders makes one walk over fields for every coordinate, and
+    # drops the components whose order it has found from longer words
+    calls = []
+    apply = ars.symcore.vf_apply
+
+    def counting(X, f):
+        calls.append(f)
+        return apply(X, f)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "ars" or name.startswith("ars.")) and getattr(module, "vf_apply", None) is apply:
+            monkeypatch.setattr(module, "vf_apply", counting)
     analyze(parse_frame(text))
     assert len(calls) == expected
 
@@ -428,6 +452,35 @@ def test_cli_explicit_weights_flag(tmp_path):
     src = _write(tmp_path, "e1.frame", E1_TEXT)
     assert main(["analyze", src, "--weights", "1,2,5"]) == 0
     assert main(["analyze", src, "--weights", "1,1,1"]) == 4
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (E1_TEXT + "weights 1 2 \u00b2\n", "line 5, column 13: weights must be positive integers, got '\u00b2'"),
+        (E1_TEXT + "point 0 1/0 0\n", "line 5, column 9: zero denominator in '1/0'"),
+        ("vars x y\nfield X1 = 1/0 d/dx\nfield X2 = x d/dy\n", "line 2, column 12: zero denominator in '1/0'"),
+    ],
+    ids=["superscript_weight", "point_zero_denominator", "coefficient_zero_denominator"],
+)
+def test_cli_literals_that_int_or_fraction_refuse_are_parse_errors(tmp_path, capsys, text, message):
+    src = _write(tmp_path, "literal.frame", text)
+    out = tmp_path / "diag.json"
+    assert main(["analyze", src, "--json", str(out)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+    assert json.loads(out.read_text())["error"] == {"kind": "parse_error", "message": message}
+
+
+@pytest.mark.parametrize("point", ["a,b", "0,1/0"])
+def test_cli_point_that_is_not_rational_is_an_argparse_error(tmp_path, capsys, point):
+    # a zero denominator fails the way a non-number does, not with a traceback
+    src = _write(tmp_path, "e1.frame", E1_TEXT)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", src, "--point", point])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --point: bad point '{point}'" in err
+    assert "Traceback" not in err
 
 
 def test_cli_point_flag(tmp_path, capsys):

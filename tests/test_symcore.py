@@ -194,6 +194,28 @@ def test_apply_matches_naive_oracle(data):
     assert vf_apply(X, f) == dict_to_poly(X.dim, naive_apply(X, poly_to_dict(f)))
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(field_triples())
+def test_apply_to_a_field_is_componentwise(fields):
+    # X applied to a field differentiates each component, and the bracket is
+    # the difference of the two field derivatives
+    X, Y, _ = fields
+    XY = vf_apply(X, Y)
+    assert isinstance(XY, VectorField)
+    assert XY.components == tuple(vf_apply(X, c) for c in Y.components)
+    assert lie_bracket(X, Y) == vf_apply(X, Y) - vf_apply(Y, X)
+
+
+def test_apply_to_the_coordinate_functions():
+    # X applied to x_1, ..., x_n is X itself, and X X has component j equal to X X_j
+    x, y = var(2, 0), var(2, 1)
+    X = VectorField([y, x * x])
+    assert X.components == tuple(vf_apply(X, var(2, j)) for j in range(2))
+    assert vf_apply(X, X) == VectorField([x * x, 2 * x * y])
+    with pytest.raises(ValueError):
+        vf_apply(coord(2, 0), coord(3, 0))
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(field_triples(), st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=3, max_size=3))
 def test_linear_combination_matches_repeated_sum(fields, cs):
