@@ -120,15 +120,17 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
     span = SpanBasis()
     for h in hat_fields:
         span.insert(h.terms)
+    rest = [i for i in range(n) if i not in selected]
+    # the other fields' nonzero values at the origin are solved in one call, or in none
+    moved = [i for i in rest if any(at_origin[i])]
+    for i, coeffs in zip(moved, solve_combination(sel_values, [at_origin[i] for i in moved]) if moved else []):
+        if coeffs is None:
+            raise ArsError("selected fields do not span a remaining value at the origin")
+        for s, c in zip(selected, coeffs):
+            rows[i][s] -= c
     kept: list[int] = []
     dropped: list[int] = []
-    for i in (i for i in range(n) if i not in selected):
-        if any(at_origin[i]):
-            coeffs = solve_combination(sel_values, at_origin[i])
-            if coeffs is None:
-                raise ArsError("selected fields do not span a remaining value at the origin")
-            for s, c in zip(selected, coeffs):
-                rows[i][s] -= c
+    for i in rest:
         h = linear_combination(zip(rows[i], hats), n)
         if span.insert(h.terms):
             kept.append(i)

@@ -11,8 +11,8 @@ orders of the coordinate functions.
 package, and one walk serves both the flag and the Lie algebra: the flag
 consumes a :class:`BracketWalk` round by round and stops at full rank, and
 :func:`ars.liealg.lie_closure` of the same fields finishes that walk and its
-span instead of starting a second one.  It holds the single degree-cap
-test, which raises :class:`DegreeBoundExceeded`.
+span instead of starting a second one.  It reads the degree cap and holds
+the single degree-cap test, which raises :class:`DegreeBoundExceeded`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .symcore import (
     Polynomial,
     VectorField,
     _values,
+    as_integers,
     as_point,
     commute_by_support,
     lie_bracket,
@@ -66,7 +67,7 @@ class GrowthVector:
 
 
 def check_weights(weights: Sequence[int], dim: int) -> Weights:
-    w = tuple(int(x) for x in weights)
+    w = as_integers(weights, "weights")
     if len(w) != dim:
         raise ValueError(f"expected {dim} weights, got {len(w)}")
     if any(x < 1 for x in w):
@@ -110,9 +111,7 @@ def homogeneous_orders(X: VectorField, weights: Sequence[int]) -> list[int]:
     return sorted({monomial_weighted_degree(e, w) - w[j] for j, e in X.terms})
 
 
-def bracket_rounds(
-    generators: Sequence[VectorField], span: SpanBasis, max_degree: int
-) -> Iterator[list[VectorField]]:
+def bracket_rounds(generators: Sequence[VectorField], span: SpanBasis) -> Iterator[list[VectorField]]:
     """Breadth-first bracket walk, shortest words first, one round at a time.
 
     Inserts the generators into ``span`` and yields those that grew it; then
@@ -121,8 +120,9 @@ def bracket_rounds(
     against the previous round's new brackets.  Pairs that commute by support
     are skipped, and a zero bracket never grows the span.  Stops after a
     round that grows nothing.  Raises DegreeBoundExceeded when a bracket's
-    total degree exceeds ``max_degree``.
+    total degree exceeds ARS_MAX_DEGREE, read once as the walk starts.
     """
+    max_degree = max_degree_cap()
     gens = [g for g in generators if span.insert(g.terms)]
     yield gens
     pairs = [(g, f) for i, g in enumerate(gens) for f in gens[i + 1:]]
@@ -143,21 +143,20 @@ def bracket_rounds(
 
 
 class BracketWalk:
-    """:func:`bracket_rounds` on the nonzero fields under a degree cap, resumable between rounds.
+    """:func:`bracket_rounds` on the nonzero fields, resumable between rounds.
 
     ``span`` holds the span of every field the walk has met so far.
     """
 
-    __slots__ = ("fields", "max_degree", "span", "rounds")
+    __slots__ = ("fields", "span", "rounds")
 
-    def __init__(self, fields: Sequence[VectorField], max_degree: int):
+    def __init__(self, fields: Sequence[VectorField]):
         self.fields = tuple(f for f in fields if not f.is_zero)
-        self.max_degree = max_degree
         self.span = SpanBasis()
-        self.rounds = bracket_rounds(self.fields, self.span, max_degree)
+        self.rounds = bracket_rounds(self.fields, self.span)
 
 
-def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
+def _flag_levels(frame: Frame, point: Point, max_depth: int):
     """Ranks of the bracket flag at a point, one per round of a :class:`BracketWalk`.
 
     Stops at full rank, returning the walk stopped there when it made
@@ -167,7 +166,7 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int, max_degree: int):
     n = frame.dim
     values = SpanBasis()
     dims: list[int] = []
-    walk = BracketWalk(frame.fields, max_degree)
+    walk = BracketWalk(frame.fields)
     for grew in walk.rounds:
         for f in grew:
             values.insert({i: c for i, c in enumerate(f._evaluate(point)) if c != 0})
@@ -249,7 +248,7 @@ def growth_vector(
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     pt = as_point(point, frame.dim) if point is not None else frame.base_point
     depth = max_depth if max_depth is not None else 2 * frame.dim * max(1, frame.max_component_degree())
-    dims, step, walk = _flag_levels(frame, pt, depth, max_degree_cap())
+    dims, step, walk = _flag_levels(frame, pt, depth)
     orders = coordinate_orders(frame, pt, max_length=step)
     growth = GrowthVector(tuple(dims), step, tuple(orders), walk)
     # multiset of weights dictated by the flag, ascending

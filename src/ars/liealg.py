@@ -8,9 +8,10 @@ tabulates L; pairs come from an index that yields only those that may
 bracket nonzero (:func:`_overlapping_pairs`).  G and L_0 are spans of L's
 coordinate rows, tabulated off L's table (:meth:`LieBasis.subalgebra`);
 all else runs exactly on sparse coordinate vectors {basis index: c} with
-the table's nonzero entries.  L is graded with orders -1 and 0
-(:meth:`LieBasis.orders`), so L_{<0} is a nilpotent ideal with quotient L_0
-and L is solvable exactly when L_0 is: the derived series runs on L_0 only.
+the table's nonzero entries.  L is generated by elements of orders -1 and 0,
+so it is graded with orders <= 0 (:meth:`LieBasis.orders`): L_{<0} is a
+nilpotent ideal with quotient L_0, and L is solvable exactly when L_0 is, so
+the derived series runs on L_0 only.
 The lower central series of G is read off the iterated brackets of a
 complement of [G, G], which generates G when G is nilpotent.
 """
@@ -31,7 +32,6 @@ from .symcore import (
     lie_bracket,
     linear_combination,
     mask_bits,
-    max_degree_cap,
 )
 
 
@@ -161,17 +161,15 @@ class Classification:
     order: tuple[int, ...]
 
 
-def lie_closure(
-    generators: Sequence[VectorField], max_degree: int | None = None, walk: BracketWalk | None = None
-) -> LieBasis:
+def lie_closure(generators: Sequence[VectorField], walk: BracketWalk | None = None) -> LieBasis:
     """Smallest Lie algebra containing the generators, as a closed basis.
 
     Runs a :class:`ars.grading.BracketWalk` to its end: ``walk`` when it is
-    on the same nonzero generators under the same cap, as the flag's walk
-    (``GrowthVector.walk``) is for a frame that is its own approximation,
-    else a new one; each round ends in the same span either way.  The degree
-    cap (ARS_MAX_DEGREE by default) catches generator sets that do not
-    produce a finite-dimensional algebra: DegreeBoundExceeded.
+    on the same nonzero generators, as the flag's walk (``GrowthVector.walk``)
+    is for a frame that is its own approximation, else a new one; each round
+    ends in the same span either way.  The walk's degree cap, ARS_MAX_DEGREE,
+    catches generator sets that do not produce a finite-dimensional algebra:
+    DegreeBoundExceeded.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -179,9 +177,8 @@ def lie_closure(
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("generators must share a dimension")
-    cap = max_degree if max_degree is not None else max_degree_cap()
-    if walk is None or walk.fields != tuple(gens) or walk.max_degree != cap:
-        walk = BracketWalk(gens, cap)
+    if walk is None or walk.fields != tuple(gens):
+        walk = BracketWalk(gens)
     for _ in walk.rounds:
         pass
     return LieBasis.from_span(dim, walk.span)
@@ -342,28 +339,24 @@ def graded_frame(G: LieBasis, weights: Sequence[int]) -> tuple[VectorField, ...]
     Returns one field per coordinate: field i is homogeneous of order -w_i,
     equals d/dx_i plus terms supported on strictly heavier coordinates, so
     the frame matrix is unit triangular under weight ordering and has full
-    rank everywhere.
+    rank everywhere.  G's basis must be homogeneous (:meth:`LieBasis.orders`).
+    A homogeneous element of order -s is nonzero at the origin only along the
+    coordinates of weight s, so one elimination of the values of the basis
+    elements that are nonzero there solves every d/dx_j at once, and the
+    greedy solution for d/dx_j uses elements of order -w_j only.  It exists
+    for every j exactly when those values span R^n.
     """
     w = check_weights(weights, G.dim)
     n = G.dim
-    origin = [Fraction(0)] * n
-
-    by_order: dict[int, list[VectorField]] = {}
-    for b, s in zip(G.basis, G.orders(w)):
-        by_order.setdefault(s, []).append(b)
-
-    result: list[VectorField | None] = [None] * n
-    for level in sorted(set(w)):
-        coords = [j for j in range(n) if w[j] == level]
-        candidates = by_order.get(-level, [])
-        values = [[v[j] for j in coords] for v in (h.evaluate(origin) for h in candidates)]
-        for idx, j in enumerate(coords):
-            # a candidate dependent on earlier ones is dependent at the origin
-            # too, so the greedy solve gives it coefficient zero
-            coeffs = solve_combination(values, [int(i == idx) for i in range(len(coords))])
-            if coeffs is None:
-                raise GradedFrameUnavailable(
-                    f"no homogeneous element of order {-level} hits coordinate {j} at the origin"
-                )
-            result[j] = linear_combination(zip(coeffs, candidates), n)
-    return tuple(result)  # type: ignore[arg-type]
+    G.orders(w)  # raises GradedFrameUnavailable unless the basis is homogeneous
+    origin = (Fraction(0),) * n
+    values = [b.evaluate(origin) for b in G.basis]
+    hits = [i for i, v in enumerate(values) if any(v)]
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    solutions = solve_combination([values[i] for i in hits], units)
+    missing = [j for j, coeffs in enumerate(solutions) if coeffs is None]
+    if missing:
+        j = min(missing, key=lambda j: (w[j], j))
+        raise GradedFrameUnavailable(f"no homogeneous element of order {-w[j]} hits coordinate {j} at the origin")
+    fields = [G.basis[i] for i in hits]
+    return tuple(linear_combination(zip(coeffs, fields), n) for coeffs in solutions)  # type: ignore[arg-type]

@@ -62,26 +62,30 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def solve_combination(
-    vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Coefficients c with sum(c_a * vectors[a]) == target, or None.
+    vectors: Sequence[Sequence[Fraction]], targets: Iterable[Sequence[Fraction]]
+) -> list[list[Fraction] | None]:
+    """Per target, coefficients c with sum(c_a * vectors[a]) == target, or None.
 
-    The vectors need not be independent; the solution uses the greedily
+    The vectors are eliminated once and every target is reduced against that
+    one span.  They need not be independent; each solution uses the greedily
     independent vectors (earliest first) and sets the other coefficients to
     zero.  Each vector is tagged with a unit key ``(0, a)`` that sorts below
     the data keys ``(1, i)``: a dependent vector then reduces to a relation
-    led by its own tag, and the remainder of the target carries minus the
+    led by its own tag, and the remainder of a target carries minus the
     coefficients of the independent vectors on their tags.
     """
     span = SpanBasis()
     for a, vec in enumerate(vectors):
-        tagged = _row_vec(vec[: len(target)], tag=1)
+        tagged = _row_vec(vec, tag=1)
         tagged[(0, a)] = 1
         span.insert(tagged)
-    rest = span.reduce(_row_vec(target, tag=1))
-    if any(key[0] == 1 for key in rest):
-        return None
-    return [-Fraction(rest.get((0, a), 0)) for a in range(len(vectors))]
+    zero = Fraction(0)  # one object for every coefficient a solution leaves out
+    rests = [span.reduce(_row_vec(target, tag=1)) for target in targets]
+    return [
+        None if any(key[0] == 1 for key in rest)
+        else [-Fraction(rest[(0, a)]) if (0, a) in rest else zero for a in range(len(vectors))]
+        for rest in rests
+    ]
 
 
 class SpanBasis:

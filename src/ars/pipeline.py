@@ -25,9 +25,9 @@ from .grading import (
     check_weights,
     growth_vector,
 )
-from .liealg import Classification, classify_fields, graded_frame, ideal_closure, lie_closure
+from .liealg import Classification, GradedFrameUnavailable, classify_fields, graded_frame, ideal_closure, lie_closure
 from .parser import FrameDocument
-from .symcore import ArsError, Frame, VectorField, frame_rank_at
+from .symcore import ArsError, Frame, VectorField
 
 REPORT_SCHEMA = "ars-report/1"
 
@@ -191,25 +191,23 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
         )
     report.determinant, det_warnings = _determinant_summary(frame)
     report.warnings.extend(det_warnings)
-
     try:
-        growth, auto_weights = growth_vector(frame, max_depth=options.max_bracket_depth)
-    except (RankConditionFailure, DegreeBoundExceeded) as exc:
-        exc.report = report  # type: ignore[attr-defined]
+        _algebra_stages(report, doc, frame, options)
+    except (RankConditionFailure, NotPrivileged, DegreeBoundExceeded) as exc:
+        exc.report = report
         raise
+    return report
+
+
+def _algebra_stages(report: Report, doc: FrameDocument, frame: Frame, options: AnalyzeOptions) -> None:
+    """Fill in the report from the flag on; a failed precondition raises with the report as it stands."""
+    growth, auto_weights = growth_vector(frame, max_depth=options.max_bracket_depth)
     # the report keeps the flag's dims, not its walk, which lie_closure may finish
     report.growth = replace(growth, walk=None)
 
-    if options.weights not in ("auto", None):
-        weights = check_weights(options.weights, frame.dim)
-        report.weights_source = "declared"
-    elif doc.weights is not None:
-        weights = check_weights(doc.weights, frame.dim)
-        report.weights_source = "declared"
-    else:
-        weights = auto_weights
-        report.weights_source = "auto"
-    report.weights = weights
+    declared = options.weights if options.weights not in ("auto", None) else doc.weights
+    weights = auto_weights if declared is None else check_weights(declared, frame.dim)
+    report.weights, report.weights_source = weights, "auto" if declared is None else "declared"
 
     # the orders up to max(weights) are growth's orders cut at that bound
     bound = max(weights)
@@ -217,11 +215,7 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
     report.coordinate_orders = tuple(orders)
     report.privileged = all(o == w for o, w in zip(orders, weights))
     if not report.privileged:
-        exc = NotPrivileged(
-            f"coordinate orders {orders} do not match weights {list(weights)}"
-        )
-        exc.report = report  # type: ignore[attr-defined]
-        raise exc
+        raise NotPrivileged(f"coordinate orders {orders} do not match weights {list(weights)}")
 
     A = build_approximation(frame, weights)
     report.approximation = A
@@ -230,22 +224,19 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
             "approximating fields are linearly dependent: the approximation is "
             "sub-Riemannian, not almost-Riemannian"
         )
-        return report
+        return
 
-    try:
-        # a frame that is its own approximation has the flag's walk finished
-        L = lie_closure(A.fields, walk=growth.walk)
-    except DegreeBoundExceeded as exc:
-        exc.report = report  # type: ignore[attr-defined]
-        raise
+    # a frame that is its own approximation has the flag's walk finished
+    L = lie_closure(A.fields, walk=growth.walk)
     G = ideal_closure(L, A.hat_fields[: A.k])
     report.classification = classify_fields(A, L, G)
-    report.ideal_full_rank = frame_rank_at(G.basis, frame.base_point) == frame.dim
+    # G is an ideal generated by homogeneous fields of a graded L, so it has
+    # a graded frame exactly when its values at the base point span R^n
     try:
         report.graded_frame_fields = graded_frame(G, weights)
-    except ArsError:
-        report.graded_frame_fields = None
+    except GradedFrameUnavailable:
         report.warnings.append("no graded frame: the ideal span is not homogeneous of full rank")
+    report.ideal_full_rank = report.graded_frame_fields is not None
 
     if options.probe_flows:
         # The approximating fields have orders in {-1, 0}, so they are
@@ -272,4 +263,3 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
             }
             for sr in reports
         ]
-    return report

@@ -21,6 +21,7 @@ coordinate functions x_1, ..., x_n is the field X itself.
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 from functools import cache
@@ -34,6 +35,7 @@ Point = tuple[Fraction, ...]
 
 class ArsError(Exception):
     """Base class for structured failures raised by this package."""
+    report = None  # the partial report of a failed ars.pipeline.analyze
 
 
 def as_fraction(value) -> Fraction:
@@ -59,6 +61,14 @@ def quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return as_coefficient(a / b)
+
+
+def as_integers(values: Sequence, what: str) -> tuple[int, ...]:
+    """The values as ints through operator.index, which refuses 1.5 and "2" where int() takes them."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {tuple(values)}") from None
 
 
 def as_point(values: Sequence, dim: int) -> Point:
@@ -227,7 +237,7 @@ class Polynomial(_TermMap):
             raise ValueError("polynomial dimension must be at least 1")
 
         def exponents(exps) -> Exponents:
-            e = tuple(int(x) for x in exps)
+            e = as_integers(exps, "exponents")
             if len(e) != dim:
                 raise ValueError(f"exponent vector {e} does not have length {dim}")
             if any(x < 0 for x in e):

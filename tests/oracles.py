@@ -281,6 +281,64 @@ def naive_eval(X: VectorField, point) -> list[Fraction]:
     return [naive_poly_eval(comp, point) for comp in X.components]
 
 
+def _dense_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
+    """c with sum(c_a * columns[a]) == target for independent columns, by Gauss-Jordan on [A | t]."""
+    m = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    pivots = []
+    for col in range(len(columns)):
+        piv = next((i for i in range(len(pivots), len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    if any(row[-1] != 0 for row in m[len(pivots):]):
+        return None
+    coeffs = [Fraction(0)] * len(columns)
+    for r, col in enumerate(pivots):
+        coeffs[col] = m[r][-1]
+    return coeffs
+
+
+def naive_graded_frame(G, weights) -> tuple[VectorField, ...] | None:
+    """The graded frame level by level and coordinate by coordinate, in dense Fractions; None without one.
+
+    For each weight s, the candidates are G's basis elements whose monomials
+    all have order -s; their values on the weight-s coordinates are kept
+    greedily, earliest first, when they raise the dense rank, and d/dx_j is
+    solved on the kept values alone.  None when some element is not
+    homogeneous or some d/dx_j has no solution.
+    """
+    n = G.dim
+    origin = [Fraction(0)] * n
+    orders = [{sum(a * w for a, w in zip(e, weights)) - weights[j] for j, e in b.terms} for b in G.basis]
+    if any(len(s) != 1 for s in orders):
+        return None
+    result: list[VectorField | None] = [None] * n
+    for level in sorted(set(weights)):
+        coords = [j for j in range(n) if weights[j] == level]
+        candidates = [b for b, s in zip(G.basis, orders) if s == {-level}]
+        kept: list[tuple[VectorField, list[Fraction]]] = []
+        for b in candidates:
+            at_origin = naive_eval(b, origin)
+            value = [at_origin[j] for j in coords]
+            if dense_rank([v for _, v in kept] + [value]) > len(kept):
+                kept.append((b, value))
+        for idx, j in enumerate(coords):
+            coeffs = _dense_solve([v for _, v in kept], [Fraction(int(i == idx)) for i in range(len(coords))])
+            if coeffs is None:
+                return None
+            field = VectorField.zero(n)
+            for c, (b, _) in zip(coeffs, kept):
+                field = field + b * c
+            result[j] = field
+    return tuple(result)  # type: ignore[arg-type]
+
+
 def structure(L) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """Dense structure constants c[i][j][k] of a LieBasis, read off its sparse table:
     [b_i, b_j] = sum_k c[i][j][k] b_k."""

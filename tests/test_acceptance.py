@@ -297,7 +297,7 @@ def test_criterion_4_property_suite(e1_frame, e2_frame, e3_frame):
                     minus_one.append(f)
             if not minus_one:
                 continue
-            L = lie_closure(gens, max_degree=24)
+            L = lie_closure(gens)
             G = ideal_closure(L, minus_one)
             fixture_data.append((weights, L, G))
             checked += 1

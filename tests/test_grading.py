@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ars.grading import (
     RankConditionFailure,
     check_privileged,
+    check_weights,
     coordinate_orders,
     growth_vector,
     homogeneous_component,
@@ -241,6 +243,14 @@ def test_depth_below_one_is_a_value_error(depth):
     for text in ("vars x y\nfield X1 = d/dx\nfield X2 = x d/dy\n", "vars x y\nfield X1 = d/dx\nfield X2 = d/dy\n"):
         with pytest.raises(ValueError, match=f"max_depth must be at least 1, got {depth}"):
             growth_vector(parse_frame(text).to_frame(), max_depth=depth)
+
+
+@pytest.mark.parametrize("weights", [(1.5, 2), ("1", "2"), (1, Fraction(2))])
+def test_weights_that_are_not_integers_are_refused(weights):
+    # int() used to truncate 1.5 to 1 and parse "1"
+    with pytest.raises(ValueError, match=re.escape(f"weights must be integers, got {weights}")):
+        check_weights(weights, 2)
+    assert check_weights((True, 2), 2) == (1, 2)
 
 
 # --- the bracket flag against every bracket word ------------------------------

@@ -30,6 +30,7 @@ from oracles import (
     derived_dims,
     ideal_fields,
     lower_central_dims,
+    naive_graded_frame,
     spans_equal,
     structure,
 )
@@ -91,12 +92,13 @@ def test_closure_single_generator():
     assert len(L) == 1
 
 
-def test_closure_degree_bound():
+def test_closure_degree_bound(monkeypatch):
     # these two generators feed back growing degrees forever
+    monkeypatch.setenv("ARS_MAX_DEGREE", "12")
     X = only_component(2, 1, var(2, 0) ** 2)
     Y = only_component(2, 0, var(2, 1) ** 2)
     with pytest.raises(DegreeBoundExceeded):
-        lie_closure([X, Y], max_degree=12)
+        lie_closure([X, Y])
 
 
 def _nearly_abelian_fields():
@@ -594,7 +596,7 @@ def _random_homogeneous_ideals():
         minus_one = [f for o, f in gens if o == -1]
         if not minus_one:
             continue
-        L = lie_closure([f for _, f in gens], max_degree=24)
+        L = lie_closure([f for _, f in gens])
         yield weights, L, ideal_closure(L, minus_one)
 
 
@@ -814,6 +816,41 @@ def test_graded_frame_is_homogeneous_unit_frame_in_g(e3_frame):
             assert field.evaluate(origin) == tuple(Fraction(int(i == j)) for i in range(n))
         built += 1
     assert built >= 15
+
+
+FIXTURE_FRAMES = (
+    "e1_frame", "e2_frame", "e3_frame", "affine_frame", "degenerate_frame", "grushin_frame", "tangential_frame",
+)
+
+
+def _x_power_frame(k):
+    # X1 = d/dx, X2 = 3/7 x^k d/dy: G is d/dx and x^j d/dy for j <= k
+    return Frame(("x", "y"), [VectorField.coordinate(2, 0), only_component(2, 1, var(2, 0) ** k * Fraction(3, 7))])
+
+
+def test_graded_frame_matches_the_per_level_oracle(e3_frame, request):
+    # one elimination of every value at the origin gives each d/dx_j the
+    # solution that a per-level, per-coordinate dense solve gives
+    frames = [request.getfixturevalue(name) for name in FIXTURE_FRAMES] + [_x_power_frame(k) for k in range(1, 17)]
+    cases = list(_graded_frame_cases(e3_frame))
+    cases += [(growth_vector(frame)[1], _analysis(frame)[2]) for frame in frames]
+    # d/dx + y d/dz and d/dx - x d/dz take the same value at the origin and
+    # d/dx is not in their algebra, so only the earliest-first choice of the
+    # two gives the oracle's field for d/dx
+    x, y = var(3, 0), var(3, 1)
+    dx, dy = VectorField.coordinate(3, 0), VectorField.coordinate(3, 1)
+    cases.append(((1, 1, 2), lie_closure([dx + only_component(3, 2, y), dx - only_component(3, 2, x), dy])))
+    built = refused = 0
+    for w, G in cases:
+        expected = naive_graded_frame(G, w)
+        if expected is None:
+            with pytest.raises(GradedFrameUnavailable):
+                graded_frame(G, w)
+            refused += 1
+            continue
+        assert graded_frame(G, w) == expected
+        built += 1
+    assert built >= 35 and refused >= 10
 
 
 def test_graded_frame_e3(e3_frame):

@@ -64,7 +64,7 @@ def test_det_matches_leibniz(rows):
 @given(systems())
 def test_solve_combination_prefers_earlier_vectors(system):
     vectors, target = system
-    coeffs = solve_combination(vectors, target)
+    [coeffs] = solve_combination(vectors, [target])
     solvable = dense_rank(vectors + [target]) == dense_rank(vectors)
     assert (coeffs is None) == (not solvable)
     if coeffs is None:
@@ -77,13 +77,24 @@ def test_solve_combination_prefers_earlier_vectors(system):
             assert coeffs[a] == 0
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(systems(), st.data())
+def test_solve_combination_solves_several_targets_as_each_alone(system, data):
+    # one span serves every target: reducing one leaves it as the next one finds it
+    vectors, target = system
+    n = len(target)
+    targets = [target] + data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
+    assert solve_combination(vectors, targets) == [solve_combination(vectors, [t])[0] for t in targets]
+    assert solve_combination(vectors, []) == []
+
+
 def test_dense_routines_on_empty_input():
     assert rank([]) == 0
     assert rank([[], []]) == 0
     assert det([]) == 1
-    assert solve_combination([], []) == []
-    assert solve_combination([], [0, 0]) == []
-    assert solve_combination([], [1]) is None
+    assert solve_combination([], [[]]) == [[]]
+    assert solve_combination([], [[0, 0]]) == [[]]
+    assert solve_combination([], [[1]]) == [None]
 
 
 def test_dense_routines_keep_int_input_exact():
@@ -93,9 +104,9 @@ def test_dense_routines_keep_int_input_exact():
     assert d == Fraction(-2) and type(d) is Fraction
     d = det([[3, 1, 0], [1, 3, 1], [0, 1, 3]])
     assert d == leibniz_det([[3, 1, 0], [1, 3, 1], [0, 1, 3]]) == 21 and type(d) is Fraction
-    coeffs = solve_combination([[3, 1], [1, 3]], [1, 0])
+    [coeffs] = solve_combination([[3, 1], [1, 3]], [[1, 0]])
     assert coeffs == [Fraction(3, 8), Fraction(-1, 8)]
-    coeffs = solve_combination([[3, 0], [0, 7]], [1, 1])
+    [coeffs] = solve_combination([[3, 0], [0, 7]], [[1, 1]])
     assert coeffs == [Fraction(1, 3), Fraction(1, 7)]
     assert all(type(c) is Fraction for c in coeffs)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -14,16 +15,21 @@ import ars.symcore
 from ars.cli import main
 from ars.approx import build_approximation
 from ars.grading import RankConditionFailure, coordinate_orders, growth_vector
-from ars.liealg import is_solvable, lie_closure
+from ars.liealg import ideal_closure, is_solvable, lie_closure
 from ars.parser import parse_frame
 from ars.pipeline import AnalyzeOptions, NotPrivileged, analyze
+from ars.symcore import frame_rank_at
 
 from conftest import (
+    AFFINE_TEXT,
     DEGENERATE_TEXT,
     E1_TEXT,
+    E2_TEXT,
     E3_TEXT,
+    GRUSHIN_TEXT,
     NOT_PRIVILEGED_TEXT,
     RANK_FAIL_TEXT,
+    TANGENTIAL_TEXT,
 )
 
 
@@ -181,13 +187,15 @@ def test_bracket_counts_by_caller(text, expected, monkeypatch):
 
 @pytest.mark.parametrize(
     ("text", "expected"),
-    [(E3_TEXT, 127), ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 293)],
+    [(E3_TEXT, 102), ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 252)],
     ids=["E3", "3/7 x^40 d/dy"],
 )
 def test_span_inserts_per_analyze(text, expected, monkeypatch):
     # subalgebra and classify_fields take rows that are already canonical as
     # they are, ideal_closure inserts each layer's nonzero brackets once, and
-    # coordinate_orders inserts each level's fields before reading their values
+    # coordinate_orders inserts each level's fields before reading their values;
+    # graded_frame inserts the values of G's basis at the origin once, for
+    # every coordinate, and no separate rank of G is taken
     calls = []
     insert = ars.linalg.SpanBasis.insert
 
@@ -227,6 +235,32 @@ def _chain_text(n: int) -> str:
     names = [f"x{i}" for i in range(1, n + 1)]
     fields = ["d/dx1"] + [f"x{i - 1} d/dx{i}" for i in range(2, n + 1)]
     return "vars " + " ".join(names) + "\n" + "".join(f"field X{i + 1} = {f}\n" for i, f in enumerate(fields))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [E1_TEXT, E2_TEXT, E3_TEXT, AFFINE_TEXT, DEGENERATE_TEXT, GRUSHIN_TEXT, TANGENTIAL_TEXT]
+    + [_grushin_pow_text(n) for n in (5, 6, 7)]
+    + [_chain_text(n) for n in (5, 6)]
+    + [f"vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^{k} d/dy\n" for k in range(1, 17)],
+)
+def test_ideal_full_rank_is_the_rank_of_g_at_the_base_point(text):
+    # analyze reads ideal_full_rank off the graded frame's elimination, not off a rank of G
+    doc = parse_frame(text)
+    report = analyze(doc)
+    if report.classification is None:
+        assert report.ideal_full_rank is None
+        return
+    frame, A = doc.to_frame(), report.approximation
+    G = ideal_closure(lie_closure(A.fields), A.hat_fields[: A.k])
+    assert report.ideal_full_rank == (frame_rank_at(G.basis, frame.base_point) == frame.dim)
+    assert (report.graded_frame_fields is not None) == report.ideal_full_rank
+
+
+def test_analyze_refuses_weights_that_are_not_integers():
+    # int() used to truncate them: (1.5, 2.9) read as (1, 2), privileged
+    with pytest.raises(ValueError, match=re.escape("weights must be integers, got (1.5, 2.9)")):
+        analyze(parse_frame(GRUSHIN_TEXT), AnalyzeOptions(weights=(1.5, 2.9)))
 
 
 def _count_solvability_brackets(monkeypatch) -> Counter:

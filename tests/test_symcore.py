@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,14 @@ def test_apply_matches_finite_differences():
     for _ in range(5):
         p = [rng.uniform(-2, 2) for _ in range(3)]
         assert abs(g.evaluate_float(p) - finite_difference_apply(X, f, p)) < 1e-4
+
+
+def test_exponents_that_are_not_integers_are_refused():
+    # int() used to truncate 1.7 to 1, so this polynomial was x1
+    with pytest.raises(ValueError, match=re.escape("exponents must be integers, got (1.7, 0)")):
+        Polynomial(2, {(1.7, 0): 1})
+    with pytest.raises(ValueError, match=re.escape("exponents must be integers, got (0, '2')")):
+        Polynomial(2, {(0, "2"): 1})
 
 
 def test_apply_dimension_mismatch():
