@@ -14,15 +14,15 @@ JSON diagnostic, to stdout when the --json path cannot be written.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 from .grading import DegreeBoundExceeded, RankConditionFailure, check_weights
 from .locus import genericity_codims
 from .parser import ParseError, parse_frame
-from .pipeline import REPORT_SCHEMA, AnalyzeOptions, NotPrivileged, Report, analyze
+from .pipeline import REPORT_SCHEMA, AnalyzeOptions, NotPrivileged, Report, analyze, json_text
 from .symcore import as_point, max_degree_cap
 
 EXIT_OK = 0
@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("--probe-flows", action="store_true",
                            help="report the exact completeness certificate of each approximating field")
     analyze_p.add_argument("--stratify", action="store_true")
-    analyze_p.add_argument("--samples", type=int, default=200)
-    analyze_p.add_argument("--seed", type=int, default=0)
+    analyze_p.add_argument("--samples", type=int, default=AnalyzeOptions.samples)
+    analyze_p.add_argument("--seed", type=int, default=AnalyzeOptions.seed)
 
     for name, help_text in (
         ("weights", "growth vector and weights only"),
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json_text(payload)
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
@@ -147,15 +147,8 @@ def _run_analysis(args, command: str) -> int:
     except ParseError as exc:
         return _fail("parse error", EXIT_PARSE, exc, args.json_out)
 
-    options = AnalyzeOptions(
-        weights=args.weights,
-        point=args.point,
-        max_bracket_depth=args.max_bracket_depth,
-        probe_flows=getattr(args, "probe_flows", False),
-        stratify=getattr(args, "stratify", False),
-        samples=getattr(args, "samples", 200),
-        seed=getattr(args, "seed", 0),
-    )
+    # the view commands have no analyze-only flags, so they get the defaults
+    options = AnalyzeOptions(**{f.name: getattr(args, f.name) for f in fields(AnalyzeOptions) if hasattr(args, f.name)})
     try:
         _check_usage(options, len(doc.var_names))
     except ValueError as exc:

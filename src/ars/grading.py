@@ -184,7 +184,7 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int):
     )
 
 
-def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: int | None = None) -> list[int | None]:
+def coordinate_orders(frame: Frame, point: Sequence | None = None, *, max_length: int) -> list[int | None]:
     """Nonholonomic order of each coordinate function at a point.
 
     The order of x_j - p_j is the length of the shortest word X_I of frame
@@ -194,19 +194,19 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: i
     are the frame's fields; the next level drops from each field g the
     components whose order is known and applies every frame field X with
     dir(X) & var(g) != 0 (otherwise X g = 0).  Words are explored up to
-    max_length; None marks an order beyond the bound.  Each level keeps a
+    max_length, which the caller must state, since an order can be
+    infinite; None marks an order beyond the bound.  Each level keeps a
     basis of its span: a field that is a combination of others at its level
     stays that combination, component by component, after every later word,
     so pruning it keeps each level finite without changing the first
     nonzero length.
     """
     pt = as_point(point, frame.dim) if point is not None else frame.base_point
-    bound = max_length if max_length is not None else frame.dim * max(1, frame.max_component_degree()) * 2
     n = frame.dim
     orders: list[int | None] = [None] * n
     directions = [(X, X.support[0]) for X in frame.fields]
     level = frame.fields
-    for length in range(1, bound + 1):
+    for length in range(1, max_length + 1):
         if len(level) > 1:  # a lone field is its level's basis, or zero and without successors
             span = SpanBasis()
             level = [g for g in level if span.insert(g.terms)]
@@ -216,7 +216,7 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, max_length: i
         for (slot, _), _ in terms:
             if orders[slot % n] is None and values[slot]:
                 orders[slot % n] = length
-        if None not in orders or length == bound:
+        if None not in orders or length == max_length:
             break
         next_level = []
         for g in level:

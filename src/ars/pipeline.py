@@ -142,7 +142,12 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_json_dict())
+
+
+def json_text(payload: dict) -> str:
+    """The one JSON layout of reports and diagnostics: sorted keys, indent 2, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _determinant_summary(frame: Frame) -> tuple[dict, list[str]]:

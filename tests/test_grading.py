@@ -145,6 +145,14 @@ def test_coordinate_orders_e1(e1_frame):
     assert coordinate_orders(e1_frame, max_length=5) == [1, 2, 5]
 
 
+def test_coordinate_orders_takes_its_bound_from_the_caller(e1_frame):
+    # the walk has no bound of its own, so a call without one is refused
+    with pytest.raises(TypeError):
+        coordinate_orders(e1_frame)
+    with pytest.raises(TypeError):
+        coordinate_orders(e1_frame, None, 5)
+
+
 # --- properties ----------------------------------------------------------------
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(lambda c: c != 0)
