@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .grading import Weights, check_weights, homogeneous_component, homogeneous_orders
+from .grading import Weights, check_weights, homogeneous_parts
 from .linalg import SpanBasis, det, solve_combination
 from .symcore import ArsError, Frame, VectorField, linear_combination
 
@@ -66,24 +66,14 @@ class ApproximationSet:
         return tuple(flags)
 
 
-def nilpotent_approx(X: VectorField, weights: Sequence[int]) -> VectorField:
-    """Homogeneous component of order -1; zero when X has order >= 0."""
-    return homogeneous_component(X, -1, weights)
-
-
-def order_zero_component(X: VectorField, weights: Sequence[int]) -> VectorField:
-    """Homogeneous component of order 0."""
-    return homogeneous_component(X, 0, weights)
-
-
 def check_triangular_complete(X: VectorField, weights: Sequence[int]) -> bool:
     """True iff every monomial of component j has weighted degree <= w_j.
 
     Such a field depends at most linearly on the coordinates of weight w_j
     and not at all on heavier ones, so its flow equation is triangular and
-    all solutions extend to the whole real line.
+    all solutions extend to the whole real line: its largest order is <= 0.
     """
-    return all(s <= 0 for s in homogeneous_orders(X, weights))
+    return max(homogeneous_parts(X, check_weights(weights, X.dim)), default=0) <= 0
 
 
 def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSet:
@@ -95,7 +85,9 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
     origin.  Its order -1 part is the row applied to the order -1 parts,
     since truncation is linear, and it is kept when it is independent of the
     fields kept so far.  Step 3 replaces each field not kept by the order-0
-    part of its row applied to the originals.  The caller is expected to
+    part of its row applied to the originals, which is the row applied to
+    their order-0 parts.  Each field is split by order once
+    (:func:`~ars.grading.homogeneous_parts`).  The caller is expected to
     have verified the rank condition and the privileged-ness of the
     coordinates for these weights.  A linearly dependent outcome is reported
     through the ``degenerate`` flag rather than an exception, since the set
@@ -106,7 +98,10 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
     if any(c != 0 for c in frame.base_point):
         raise ValueError("build_approximation expects a frame centered at the origin; translate first")
 
-    hats = [nilpotent_approx(X, w) for X in frame.fields]
+    # each field split once: its order -1 part is its hat, its order-0 part feeds step 3
+    zero = VectorField.zero(n)
+    parts = [homogeneous_parts(X, w) for X in frame.fields]
+    hats = [p.get(-1, zero) for p in parts]
     at_origin = [h.evaluate(frame.base_point) for h in hats]
 
     # step 1: greedily pick fields whose order -1 parts are independent at 0
@@ -138,8 +133,9 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
         else:
             dropped.append(i)
 
-    # step 3: the fields not kept are replaced by their order-0 parts
-    tilde_fields = [order_zero_component(linear_combination(zip(rows[i], frame.fields), n), w) for i in dropped]
+    # step 3: the fields not kept are replaced by their order-0 parts, again by linearity
+    zeros = [p.get(0, zero) for p in parts]
+    tilde_fields = [linear_combination(zip(rows[i], zeros), n) for i in dropped]
     source_order = tuple(selected + kept + dropped)
     transform = tuple(tuple(rows[i]) for i in source_order)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .approx import check_triangular_complete
-from .grading import check_weights, homogeneous_orders
+from .grading import check_weights, homogeneous_parts
 from .symcore import ArsError, VectorField, as_fraction, as_point, vf_apply
 
 DEFAULT_TRUNCATION_ORDER = 30
@@ -45,15 +45,6 @@ class ProbeReport:
     triangular: bool
     blowup_count: int
     blowup_starts: tuple[tuple[float, ...], ...]
-
-
-def is_strictly_triangular(X: VectorField, weights: Sequence[int]) -> bool:
-    """Every monomial of component j has weighted degree at most w_j - 1.
-
-    Applying such a field to a polynomial strictly lowers weighted degree,
-    so each coordinate's exponential series terminates.
-    """
-    return all(s <= -1 for s in homogeneous_orders(X, weights))
 
 
 def lie_series_flow(
@@ -91,11 +82,13 @@ def lie_series_flow_result(
     cutoff otherwise.
     """
     w = check_weights(weights, X.dim)
-    if not check_triangular_complete(X, w):
+    # the largest order is <= 0 for a triangular field, < 0 for a strictly triangular one (each series ends by step w_j)
+    top = max(homogeneous_parts(X, w), default=-1)
+    if top > 0:
         raise NonTriangularField("flow series requires a triangular field for these weights")
     pt = as_point(point, X.dim)
     tt = as_fraction(t)
-    strict = is_strictly_triangular(X, w)
+    strict = top < 0
     cutoff = truncation_order if truncation_order is not None else DEFAULT_TRUNCATION_ORDER
 
     endpoint, t_power, g, s = list(pt), Fraction(1), X, 1

@@ -1,11 +1,12 @@
 """Weighted grading of coordinates and vector fields.
 
 Weights are positive integers attached to the coordinates; the weighted
-degree of a monomial x^a is sum(a_j * w_j).  A vector field's
-(nonholonomic) order is the minimum over components j of the weighted
-valuation of component j minus w_j.  Candidate weights at a point are read
-off the bracket flag of the frame and matched to coordinates through the
-orders of the coordinate functions.
+degree of a monomial x^a is sum(a_j * w_j), and the term x^a d/dx_j has
+order sum(a_j * w_j) - w_j.  :func:`homogeneous_parts` splits a field by
+that order, and every question about orders reads the split: a field's
+(nonholonomic) order is its least key.  Candidate weights at a point are
+read off the bracket flag of the frame and matched to coordinates through
+the orders of the coordinate functions.
 
 :func:`bracket_rounds` is the one breadth-first bracket walk of the
 package, and one walk serves both the flag and the Lie algebra: the flag
@@ -17,8 +18,9 @@ the single degree-cap test, which raises :class:`DegreeBoundExceeded`.
 
 from __future__ import annotations
 
-import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, Sequence
 
 from .linalg import SpanBasis
@@ -26,7 +28,6 @@ from .symcore import (
     ArsError,
     Frame,
     Point,
-    Polynomial,
     VectorField,
     _values,
     as_integers,
@@ -38,8 +39,6 @@ from .symcore import (
 )
 
 Weights = tuple[int, ...]
-
-INFINITE_ORDER = math.inf
 
 
 class RankConditionFailure(ArsError):
@@ -75,40 +74,18 @@ def check_weights(weights: Sequence[int], dim: int) -> Weights:
     return w
 
 
-def monomial_weighted_degree(exps: Sequence[int], weights: Weights) -> int:
-    return sum(a * w for a, w in zip(exps, weights))
+def homogeneous_parts(X: VectorField, weights: Weights) -> dict[int, VectorField]:
+    """Split X by weighted order: the nonzero part of each order s, keys ascending.
 
-
-def weighted_valuation(f: Polynomial, weights: Sequence[int]):
-    """Minimum weighted degree over the monomials of f; +inf for zero."""
-    w = check_weights(weights, f.dim)
-    if f.is_zero:
-        return INFINITE_ORDER
-    return min(monomial_weighted_degree(e, w) for e in f.terms)
-
-
-def nonholonomic_order_vf(X: VectorField, weights: Sequence[int]):
-    """Order of a field: min_j (valuation of component j minus w_j)."""
-    return min(homogeneous_orders(X, weights), default=INFINITE_ORDER)
-
-
-def homogeneous_component(X: VectorField, s: int, weights: Sequence[int]) -> VectorField:
-    """Part of X that is weighted-homogeneous of order s.
-
-    Component j keeps exactly the monomials of weighted degree w_j + s.
-    Summing over all s reconstructs X.
+    The term x^e d/dx_j has order sum_i e_i w_i - w_j, so part s keeps the
+    monomials of component j of weighted degree w_j + s, and the parts sum
+    to X.  The least key is the order of X; a zero field has no part.  The
+    weights are taken as :func:`check_weights` returns them.
     """
-    w = check_weights(weights, X.dim)
-    return VectorField.from_terms(
-        X.dim,
-        {(j, e): c for (j, e), c in X.terms.items() if monomial_weighted_degree(e, w) - w[j] == s},
-    )
-
-
-def homogeneous_orders(X: VectorField, weights: Sequence[int]) -> list[int]:
-    """Sorted list of orders s with a nonzero homogeneous component."""
-    w = check_weights(weights, X.dim)
-    return sorted({monomial_weighted_degree(e, w) - w[j] for j, e in X.terms})
+    parts: defaultdict[int, dict] = defaultdict(dict)
+    for (j, e), c in X.terms.items():
+        parts[sum(map(mul, e, weights)) - weights[j]][j, e] = c
+    return {s: VectorField.from_terms(X.dim, part) for s, part in sorted(parts.items())}
 
 
 def bracket_rounds(generators: Sequence[VectorField], span: SpanBasis) -> Iterator[list[VectorField]]:

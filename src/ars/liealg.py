@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .approx import ApproximationSet, DegenerateApproximation
-from .grading import BracketWalk, DegreeBoundExceeded, check_weights, homogeneous_orders
+from .grading import BracketWalk, DegreeBoundExceeded, check_weights, homogeneous_parts
 from .linalg import SpanBasis, solve_combination
 from .symcore import (
     ArsError,
@@ -87,9 +87,11 @@ class LieBasis:
 
         The canonical basis is homogeneous exactly when the span is graded, as
         it is when homogeneous fields generate the algebra; otherwise this
-        raises GradedFrameUnavailable, an ArsError.
+        raises GradedFrameUnavailable, an ArsError.  A homogeneous element's
+        order is the one key of its split.
         """
-        orders = [homogeneous_orders(b, weights) for b in self.basis]
+        w = check_weights(weights, self.dim)
+        orders = [homogeneous_parts(b, w) for b in self.basis]
         if any(len(s) != 1 for s in orders):
             raise GradedFrameUnavailable("the algebra is not spanned by homogeneous elements")
         return tuple(s for s, in orders)

@@ -267,7 +267,8 @@ def _rational_roots(coeffs: Sequence) -> list[Fraction]:
     p | a_0 and q | a_n.  Fujiwara's bound B on the roots and B' on their
     inverses, the roots of the reversed polynomial, give p <= B q and
     q <= B' p, so only the divisors of a_0 up to B a_n and of a_n up to
-    B' a_0 are tried.
+    B' a_0 are tried, and only with the signs that Descartes' rule of signs
+    allows: none when neither f(t) nor f(-t) has a sign change.
     """
     ints = _primitive(coeffs)
     if len(ints) > 3:
@@ -288,6 +289,11 @@ def _rational_roots(coeffs: Sequence) -> list[Fraction]:
     # square-free of degree >= 3: 0 is at most a simple root
     roots = [Fraction(0)] if ints[0] == 0 else []
     ints = ints[1:] if ints[0] == 0 else ints
+    # Descartes: a root of sign s needs a sign change among the nonzero c_i s^i
+    nonzero = [(i, c) for i, c in enumerate(ints) if c]
+    signs = [s for s in (1, -1) if any(a * b * s ** (i + k) < 0 for (i, a), (k, b) in zip(nonzero, nonzero[1:]))]
+    if not signs:
+        return roots
     a0, an = abs(ints[0]), abs(ints[-1])
     bound, co_bound = _root_bound(ints), _root_bound(ints[::-1])
     numerators = _divisors(a0, bound * an)
@@ -298,7 +304,7 @@ def _rational_roots(coeffs: Sequence) -> list[Fraction]:
         for p in numerators:
             if p > bound * q or q > co_bound * p or math.gcd(p, q) != 1:
                 continue
-            for num in (p, -p):
+            for num in (s * p for s in signs):
                 val = ints[-1]
                 for c, qp in zip(low_first, q_powers):
                     val = val * num + c * qp

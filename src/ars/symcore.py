@@ -295,47 +295,35 @@ class Polynomial(_TermMap):
             total += val
         return total
 
-    def affine_substituted(
-        self, offsets: Sequence, slopes: Sequence, targets: Sequence[int], dim: int
-    ) -> "Polynomial":
-        """Substitute x_j -> offsets[j] + slopes[j] * y_targets[j] for all j.
+    def shifted(self, offsets: Sequence) -> "Polynomial":
+        """Substitute x_j -> x_j + offsets[j].
 
-        The result is a polynomial in ``dim`` variables y.  Each power
-        (a + b y)^k that occurs is expanded once, by the binomial theorem.
+        Each power (x_j + a_j)^k that occurs is expanded once, by the
+        binomial theorem.
         """
-        offs, scales = ([as_coefficient(x) for x in as_point(v, self.dim)] for v in (offsets, slopes))
-        targets = tuple(targets)
-        if len(targets) != self.dim or not all(0 <= t < dim for t in targets):
-            raise ValueError(f"expected {self.dim} target indices in range({dim})")
+        offs = [as_coefficient(x) for x in as_point(offsets, self.dim)]
+        if not any(offs):
+            return self
 
         @cache
         def expansion(j: int, k: int) -> list[tuple[int, Fraction]]:
             a_pows = list(accumulate(repeat(offs[j], k), mul, initial=1))
-            b_pows = list(accumulate(repeat(scales[j], k), mul, initial=1))
             binoms = accumulate(range(k), lambda m, i: m * (k - i) // (i + 1), initial=1)
-            return [(i, c) for i, m in enumerate(binoms) if (c := m * b_pows[i] * a_pows[k - i])]
+            return [(i, c) for i, m in enumerate(binoms) if (c := m * a_pows[k - i])]
 
         def image(e: Exponents, c: Fraction) -> Iterable[tuple[Exponents, Fraction]]:
-            part = {(0,) * dim: c}
+            part = {(0,) * self.dim: c}
             for j, k in enumerate(e):
                 if k:
-                    t = targets[j]
                     part = _accumulate(
-                        (y[:t] + (y[t] + i,) + y[t + 1 :], v * b)
+                        (y[:j] + (y[j] + i,) + y[j + 1 :], v * b)
                         for y, v in part.items()
                         for i, b in expansion(j, k)
                     )
             return part.items()
 
         pairs = chain.from_iterable(image(e, c) for e, c in self.terms.items())
-        return Polynomial.from_terms(dim, _accumulate(pairs))
-
-    def shifted(self, offsets: Sequence) -> "Polynomial":
-        """Substitute x_j -> x_j + offsets[j]."""
-        offs = as_point(offsets, self.dim)
-        if all(c == 0 for c in offs):
-            return self
-        return self.affine_substituted(offs, [1] * self.dim, range(self.dim), self.dim)
+        return Polynomial.from_terms(self.dim, _accumulate(pairs))
 
     def format(self, names: Sequence[str] | None = None) -> str:
         """Terms in descending graded lexicographic order, e.g. 'x^2 + y - 3'."""

@@ -69,6 +69,19 @@ def naive_substitute(d: dict, offsets, slopes, targets, dim: int) -> dict:
     return out
 
 
+def naive_homogeneous_parts(X: VectorField, weights) -> dict:
+    """X split by weighted order, component by component: {order: nonzero part}, orders ascending."""
+    by_order: dict = {}
+    for j, comp in enumerate(X.components):
+        for e, c in comp.terms.items():
+            degree = sum(a * w for a, w in zip(e, weights))
+            by_order.setdefault(degree - weights[j], {}).setdefault(j, {})[e] = c
+    return {
+        s: VectorField([Polynomial(X.dim, by_order[s].get(j, {})) for j in range(X.dim)])
+        for s in sorted(by_order)
+    }
+
+
 def naive_apply(X: VectorField, f: dict) -> dict:
     out: dict = {}
     for j, comp in enumerate(X.components):

@@ -20,12 +20,7 @@ import pytest
 from ars.approx import build_approximation, check_triangular_complete
 from ars.cli import main
 from ars.flows import completeness_probe, dilate, lie_series_flow, rk4_flow
-from ars.grading import (
-    growth_vector,
-    homogeneous_component,
-    homogeneous_orders,
-    nonholonomic_order_vf,
-)
+from ars.grading import growth_vector, homogeneous_parts
 from ars.liealg import (
     classify_fields,
     ideal_closure,
@@ -105,8 +100,8 @@ def test_criterion_1_example_1(e1_frame):
         assert len(G) == 5
         assert spans_equal(list(G.basis), [X1, X4, X5, X6, X7])
 
-        assert nonholonomic_order_vf(chi1, w) == -2
-        assert nonholonomic_order_vf(chi2, w) == -3
+        assert min(homogeneous_parts(chi1, w)) == -2
+        assert min(homogeneous_parts(chi2, w)) == -3
 
         C = classify_fields(A, L, G)
         assert C.labels == ("invariant", "linear", "linear")
@@ -259,7 +254,7 @@ def test_criterion_4_property_suite(e1_frame, e2_frame, e3_frame):
             Y = _random_homogeneous(rng, dim, weights, b)
             if X.is_zero or Y.is_zero:
                 continue
-            order = nonholonomic_order_vf(lie_bracket(X, Y), weights)
+            order = min(homogeneous_parts(lie_bracket(X, Y), weights), default=math.inf)
             assert order == math.inf or order == a + b
             checked += 1
 
@@ -269,8 +264,8 @@ def test_criterion_4_property_suite(e1_frame, e2_frame, e3_frame):
             weights = tuple(rng.randint(1, 3) for _ in range(dim))
             X = _random_field(rng, dim)
             total = VectorField.zero(dim)
-            for s in homogeneous_orders(X, weights):
-                total = total + homogeneous_component(X, s, weights)
+            for part in homogeneous_parts(X, weights).values():
+                total = total + part
             assert total == X
 
         # ideal ad-invariance and nilpotency bound across the fixtures and
@@ -343,11 +338,8 @@ def test_criterion_5_flow_oracles(e1_frame, e2_frame, e3_frame):
         for frame in (e1_frame, e2_frame, e3_frame):
             _, w = growth_vector(frame)
             for X in frame.fields:
-                if nonholonomic_order_vf(X, w) != -1:
-                    continue
-                if not all(
-                    s <= -1 for s in homogeneous_orders(X, w)
-                ):
+                # order -1 and homogeneous: the split's only key is -1
+                if list(homogeneous_parts(X, w)) != [-1]:
                     continue
                 for _ in range(3):
                     p = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(frame.dim))

@@ -5,13 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ars.approx import (
-    build_approximation,
-    check_triangular_complete,
-    nilpotent_approx,
-    order_zero_component,
-)
-from ars.grading import growth_vector, nonholonomic_order_vf
+from ars.approx import build_approximation, check_triangular_complete
+from ars.grading import growth_vector, homogeneous_parts
 from ars.linalg import det
 from ars.symcore import ArsError, Frame, Polynomial, VectorField, frame_rank_at
 
@@ -28,29 +23,34 @@ def only_component(dim, j, poly):
     return VectorField(comps)
 
 
+def part(X, s, w):
+    """Homogeneous part of order s of X; zero when X has none."""
+    return homogeneous_parts(X, w).get(s, VectorField.zero(X.dim))
+
+
 def test_nilpotent_approx_examples():
     # already homogeneous of order -1
     X3 = only_component(3, 2, var(3, 1) ** 2)
-    assert nilpotent_approx(X3, (1, 2, 5)) == X3
+    assert part(X3, -1, (1, 2, 5)) == X3
     # mixed field keeps only the order -1 part
     mixed = only_component(4, 2, var(4, 0)) + only_component(
         4, 3, Fraction(1, 2) * var(4, 1) ** 2
     )
-    assert nilpotent_approx(mixed, (1, 1, 2, 2)) == only_component(4, 2, var(4, 0))
+    assert part(mixed, -1, (1, 1, 2, 2)) == only_component(4, 2, var(4, 0))
     # an order -2 field has no order -1 part
-    assert nilpotent_approx(only_component(3, 2, var(3, 0) * var(3, 1)), (1, 2, 5)).is_zero
+    assert part(only_component(3, 2, var(3, 0) * var(3, 1)), -1, (1, 2, 5)).is_zero
 
 
 def test_order_zero_component_examples(e3_frame):
     mixed = only_component(4, 2, var(4, 0)) + only_component(
         4, 3, Fraction(1, 2) * var(4, 1) ** 2
     )
-    assert order_zero_component(mixed, (1, 1, 2, 2)) == only_component(
+    assert part(mixed, 0, (1, 1, 2, 2)) == only_component(
         4, 3, Fraction(1, 2) * var(4, 1) ** 2
     )
     X4 = e3_frame.fields[3]
-    assert order_zero_component(X4, (1, 1, 2, 1, 2)) == X4
-    assert order_zero_component(VectorField.coordinate(3, 0), (1, 2, 5)).is_zero
+    assert part(X4, 0, (1, 1, 2, 1, 2)) == X4
+    assert part(VectorField.coordinate(3, 0), 0, (1, 2, 5)).is_zero
 
 
 def test_triangular_completeness_check():
@@ -91,8 +91,8 @@ def test_build_approximation_e2(e2_frame):
         value_is_zero = all(c == 0 for c in h.evaluate(origin))
         assert value_is_zero == (i >= A.k)
         assert not h.is_zero
-    assert nilpotent_approx(e2_frame.fields[3], w) == only_component(4, 2, var(4, 0))
-    assert order_zero_component(e2_frame.fields[3], w) == only_component(
+    assert part(e2_frame.fields[3], -1, w) == only_component(4, 2, var(4, 0))
+    assert part(e2_frame.fields[3], 0, w) == only_component(
         4, 3, Fraction(1, 2) * var(4, 1) ** 2
     )
 
@@ -111,9 +111,9 @@ def test_every_output_is_homogeneous(e1_frame, e2_frame, e3_frame):
         _, w = growth_vector(frame)
         A = build_approximation(frame, w)
         for h in A.hat_fields:
-            assert nonholonomic_order_vf(h, w) == -1
+            assert list(homogeneous_parts(h, w)) == [-1]
         for t in A.tilde_fields:
-            assert nonholonomic_order_vf(t, w) == 0
+            assert list(homogeneous_parts(t, w)) == [0]
         for f in A.fields:
             assert check_triangular_complete(f, w)
 
@@ -173,9 +173,9 @@ def test_transform_reproduces_outputs(approximated_frames):
         assert len(A.fields) == frame.dim
         for i, combo in enumerate(transformed(frame, A)):
             if i < A.m:
-                assert nilpotent_approx(combo, w) == A.fields[i]
+                assert part(combo, -1, w) == A.fields[i]
             else:
-                assert order_zero_component(combo, w) == A.fields[i]
+                assert part(combo, 0, w) == A.fields[i]
 
 
 def test_transform_preserves_pointwise_span(approximated_frames):

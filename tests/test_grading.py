@@ -14,17 +14,14 @@ from ars.grading import (
     check_weights,
     coordinate_orders,
     growth_vector,
-    homogeneous_component,
-    homogeneous_orders,
-    nonholonomic_order_vf,
-    weighted_valuation,
+    homogeneous_parts,
 )
 from ars.parser import parse_frame
 from ars.symcore import Frame, Polynomial, VectorField
 
 import conftest
 from conftest import NOT_PRIVILEGED_TEXT, RANK_FAIL_TEXT, time_limit
-from oracles import naive_coordinate_orders, naive_flag_dims, random_rational_point
+from oracles import naive_coordinate_orders, naive_flag_dims, naive_homogeneous_parts, random_rational_point
 
 INF = math.inf
 
@@ -42,26 +39,36 @@ def only_component(dim, j, poly):
 # --- valuations and orders ---------------------------------------------------
 
 
+def valuation(f, w):
+    """Weighted valuation of f, read off the split of the field f d/dx_1: its order plus w_1."""
+    return min(homogeneous_parts(only_component(f.dim, 0, f), w), default=INF) + w[0]
+
+
+def order(X, w):
+    """Nonholonomic order of X: the least key of its split, +inf for the zero field."""
+    return min(homogeneous_parts(X, w), default=INF)
+
+
 def test_valuation_of_product_monomial():
     f = var(3, 0) * var(3, 1)  # xy with weights (1,2,5)
-    assert weighted_valuation(f, (1, 2, 5)) == 3
+    assert valuation(f, (1, 2, 5)) == 3
 
 
 def test_valuation_of_zero_is_infinite():
-    assert weighted_valuation(Polynomial.zero(2), (1, 2)) == INF
+    assert valuation(Polynomial.zero(2), (1, 2)) == INF
 
 
 def test_valuation_picks_minimum():
     f = var(2, 1) - var(2, 0) ** 2
-    assert weighted_valuation(f, (1, 3)) == 2
+    assert valuation(f, (1, 3)) == 2
 
 
 def test_field_orders_from_weighted_valuations():
     w = (1, 2, 5)
-    assert nonholonomic_order_vf(only_component(3, 2, var(3, 0) * var(3, 1)), w) == -2
-    assert nonholonomic_order_vf(only_component(3, 2, var(3, 0) ** 2), w) == -3
-    assert nonholonomic_order_vf(VectorField.coordinate(3, 0), w) == -1
-    assert nonholonomic_order_vf(VectorField.zero(3), w) == INF
+    assert order(only_component(3, 2, var(3, 0) * var(3, 1)), w) == -2
+    assert order(only_component(3, 2, var(3, 0) ** 2), w) == -3
+    assert order(VectorField.coordinate(3, 0), w) == -1
+    assert order(VectorField.zero(3), w) == INF
 
 
 def test_homogeneous_component_splits_mixed_field():
@@ -75,8 +82,10 @@ def test_homogeneous_component_splits_mixed_field():
             Fraction(1, 2) * var(4, 1) ** 2,
         ]
     )
-    part0 = homogeneous_component(X, 0, w)
-    part_minus1 = homogeneous_component(X, -1, w)
+    parts = homogeneous_parts(X, w)
+    assert list(parts) == [-1, 0]
+    part0 = parts[0]
+    part_minus1 = parts[-1]
     assert part0 == only_component(4, 3, Fraction(1, 2) * var(4, 1) ** 2)
     assert part_minus1 == only_component(4, 2, var(4, 0))
     assert part0 + part_minus1 == X
@@ -85,8 +94,7 @@ def test_homogeneous_component_splits_mixed_field():
 def test_homogeneous_component_of_constant_field():
     w = (1, 2, 5)
     X = VectorField.coordinate(3, 0)
-    assert homogeneous_component(X, -1, w) == X
-    assert homogeneous_component(X, 0, w).is_zero
+    assert homogeneous_parts(X, w) == {-1: X}
 
 
 # --- growth vectors over the worked frames ----------------------------------
@@ -210,8 +218,7 @@ def test_bracket_order_additivity(data):
     dim, weights, a, X, b, Y = data
     assume(not X.is_zero and not Y.is_zero)
     br = lie_bracket(X, Y)
-    order = nonholonomic_order_vf(br, weights)
-    assert order == INF or order == a + b
+    assert order(br, weights) in (INF, a + b)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -222,15 +229,24 @@ def test_homogeneous_reconstruction(setting, data):
         st.tuples(*([_dense_polys(dim)] * dim)).map(VectorField)
     )
     total = VectorField.zero(dim)
-    for s in homogeneous_orders(field, weights):
-        part = homogeneous_component(field, s, weights)
-        o = nonholonomic_order_vf(part, weights)
-        assert o == s or o == INF
+    parts = homogeneous_parts(field, weights)
+    # keys ascending, each part equal to the per-component split of the oracle
+    assert list(parts.items()) == list(naive_homogeneous_parts(field, weights).items())
+    for s, part in parts.items():
+        assert not part.is_zero
+        assert homogeneous_parts(part, weights) == {s: part}
         total = total + part
     assert total == field
     if not field.is_zero:
         # no nonzero field sits below order -max(w)
-        assert nonholonomic_order_vf(field, weights) >= -max(weights)
+        assert order(field, weights) >= -max(weights)
+
+
+def test_homogeneous_parts_of_worked_frames_match_naive_split(e1_frame, e2_frame, e3_frame):
+    for frame in (e1_frame, e2_frame, e3_frame):
+        _, w = growth_vector(frame)
+        for X in frame.fields:
+            assert list(homogeneous_parts(X, w).items()) == list(naive_homogeneous_parts(X, w).items())
 
 
 def _dense_polys(dim, max_degree: int = 3):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ars.approx import build_approximation
-from ars.grading import growth_vector, homogeneous_orders, nonholonomic_order_vf
+from ars.grading import growth_vector, homogeneous_parts
 from ars.linalg import SpanBasis
 from ars.liealg import (
     DegreeBoundExceeded,
@@ -207,7 +207,7 @@ def test_ideal_order_bound(e1_frame, e2_frame, e3_frame):
         k = {3: 1, 4: 2, 5: 3}[frame.dim]
         G = ideal_closure(L, list(frame.fields[:k]))
         for g in G.basis:
-            assert nonholonomic_order_vf(g, w) <= -1
+            assert min(homogeneous_parts(g, w)) <= -1
         # nilpotency within the step bound
         step = nilpotent_step(G)
         assert step is not None and step <= growth.step
@@ -221,21 +221,15 @@ def test_ideal_generators_must_lie_inside(e1_frame):
 
 def test_dimension_bound_from_degrees(e1_frame, e2_frame, e3_frame):
     # dim L is at most the dimension of fields whose component j has
-    # weighted degree <= w_j + step
-    from ars.grading import monomial_weighted_degree
-
+    # weighted degree <= w_j + step, that is, order <= step
     for frame in (e1_frame, e2_frame, e3_frame):
         growth, w = growth_vector(frame)
         L = lie_closure(frame.fields)
         bound = 0
         for j in range(frame.dim):
             target = w[j] + growth.step
-            count = sum(
-                1
-                for e in _all_exponents(frame.dim, target)
-                if monomial_weighted_degree(e, w) <= target
-            )
-            bound += count
+            terms = (only_component(frame.dim, j, Polynomial(frame.dim, {e: 1})) for e in _all_exponents(frame.dim, target))
+            bound += sum(1 for X in terms if min(homogeneous_parts(X, w)) <= growth.step)
         assert len(L) <= bound
 
 
@@ -505,11 +499,11 @@ def test_classification_affine(affine_frame):
 def test_classification_invariant_when_hat_in_ideal(e2_frame):
     # feed an approximating set whose fourth field keeps only its order-0
     # part: the third hat then lands inside the ideal via that tilde field
-    from ars.approx import ApproximationSet, order_zero_component
+    from ars.approx import ApproximationSet
 
     w = (1, 1, 2, 2)
     hats = list(e2_frame.fields[:3])
-    tilde = order_zero_component(e2_frame.fields[3], w)
+    tilde = homogeneous_parts(e2_frame.fields[3], w)[0]
     n = 4
     identity = tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -738,6 +732,21 @@ def test_from_span_tables_match_the_all_pairs_oracle(e1_frame, e2_frame, e3_fram
     assert len(algebras) >= 70
 
 
+def test_orders_check_the_weights_once_per_call(monkeypatch):
+    import ars.liealg
+
+    n = 12
+    L = lie_closure(_grushin_pow_fields(n))
+    weights = tuple(range(1, n + 1))
+    calls = []
+    check = ars.liealg.check_weights
+    monkeypatch.setattr(ars.liealg, "check_weights", lambda w, dim: calls.append(w) or check(w, dim))
+    assert L.orders(weights) == tuple(s for b in L.basis for s in homogeneous_parts(b, weights))
+    assert len(L) == n * (n + 1) // 2 and calls == [weights]
+    with pytest.raises(ValueError):
+        L.orders(weights[:-1])
+
+
 def test_solvability_of_order_zero_part_matches_whole_algebra(e1_frame, e2_frame, e3_frame):
     cases = [(w, L) for w, L, _ in _paper_algebras(e1_frame, e2_frame, e3_frame)]
     for fields in [_grushin_pow_fields(n) for n in (5, 6, 7)] + [_chain_fields(n) for n in (5, 6)]:
@@ -747,7 +756,7 @@ def test_solvability_of_order_zero_part_matches_whole_algebra(e1_frame, e2_frame
     zero_dims, verdicts = [], []
     for weights, L in cases:
         orders = L.orders(weights)
-        assert orders == tuple(s for b in L.basis for s in homogeneous_orders(b, weights))
+        assert orders == tuple(s for b in L.basis for s in homogeneous_parts(b, weights))
         assert all(s <= 0 for s in orders)
         index = [i for i, s in enumerate(orders) if s == 0]
         L0 = L.subalgebra(SpanBasis({i: 1} for i in index))
@@ -811,7 +820,7 @@ def test_graded_frame_is_homogeneous_unit_frame_in_g(e3_frame):
         Y = graded_frame(G, w)
         for j, field in enumerate(Y):
             assert G.contains(field)
-            assert homogeneous_orders(field, w) == [-w[j]]
+            assert list(homogeneous_parts(field, w)) == [-w[j]]
             # order -w_j leaves only the level's coordinates nonzero at 0
             assert field.evaluate(origin) == tuple(Fraction(int(i == j)) for i in range(n))
         built += 1

@@ -30,9 +30,12 @@ from ars.symcore import Frame, Polynomial, VectorField
 
 from conftest import time_limit
 from oracles import (
+    dict_to_poly,
     frame_cofactor_det,
     naive_float_roots,
     naive_sample_coranks,
+    naive_substitute,
+    poly_to_dict,
     random_rational_point,
 )
 
@@ -479,6 +482,13 @@ def expand(*factors):
         # search for denominators at 32
         ([([1] + [0] * 15 + [10**16 + 1], 1)], []),
         ([([-1, 3], 1), ([1] + [0] * 15 + [10**16 + 1], 1)], [Fraction(1, 3)]),
+        # Descartes' rule of signs: neither f(t) nor f(-t) changes sign, so no
+        # sign is tried, where trial division would run to 10^8 for each
+        # coefficient to find no root
+        ([([10**16 + 3] + [0] * 15 + [10**16 + 1], 1)], []),
+        # t^3 + t + 10 has only negative roots, and t^3 + t - 10 only positive ones
+        ([([10, 1, 0, 1], 1)], [Fraction(-2)]),
+        ([([-10, 1, 0, 1], 1)], [Fraction(2)]),
     ],
 )
 def test_rational_roots_of_repeated_factors(factors, roots):
@@ -519,12 +529,12 @@ def vanishing_det_frame():
 
 
 def check_integer_restriction(det, base, direction):
-    """The integer restriction of det to base + t*direction equals Polynomial.affine_substituted's.
+    """The integer restriction of det to base + t*direction equals the naive substitution's.
 
     Exactly as Fractions, and bit for bit as floats; also from base
     coordinates that are not in lowest terms.
     """
-    line = det.affine_substituted(base, direction, [0] * det.dim, 1)
+    line = dict_to_poly(1, naive_substitute(poly_to_dict(det), base, direction, [0] * det.dim, 1))
     expected = [line.terms.get((d,), Fraction(0)) for d in range(line.total_degree() + 1)]
     form = _IntegerForm(det)
     for scale in (1, 3):

@@ -534,26 +534,39 @@ def test_analyze_document_point_line():
     assert any("re-centered" in w for w in report.warnings)
 
 
-def test_console_script_smoke(tmp_path):
+def _child_env() -> dict:
+    """The environment of a child that imports the same ars package as this process, installed or not."""
     import os
-    import subprocess
-    import sys
 
     import ars
 
-    # the child imports the same ars package as this process, installed or not
     package_root = str(Path(ars.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_script_smoke(tmp_path):
+    import subprocess
+    import sys
+
     src = _write(tmp_path, "e1.frame", E1_TEXT)
     proc = subprocess.run(
         [sys.executable, "-m", "ars.cli", "analyze", src],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["weights"] == [1, 2, 5]
+
+
+def test_cli_loads_none_of_the_test_extra():
+    import subprocess
+    import sys
+
+    # pyproject.toml declares dependencies = []: the console script must not load the test extra
+    code = 'import sys, ars.cli; print(sorted({"numpy", "sympy", "hypothesis", "pytest"} & set(sys.modules)))'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 def test_document_weights_line_overrides_auto():

