@@ -10,10 +10,13 @@ the orders of the coordinate functions.
 
 :func:`bracket_rounds` is the one breadth-first bracket walk of the
 package, and one walk serves both the flag and the Lie algebra: the flag
-consumes a :class:`BracketWalk` round by round and stops at full rank, and
-:func:`ars.liealg.lie_closure` of the same fields finishes that walk and its
-span instead of starting a second one.  It reads the degree cap and holds
-the single degree-cap test, which raises :class:`DegreeBoundExceeded`.
+reads its first level off the fields' values at the point and, only below
+full rank, consumes a :class:`BracketWalk` round by round and stops at full
+rank; :func:`ars.liealg.lie_closure` of the same fields finishes that walk
+and its span instead of starting a second one.  It reads the degree cap and
+holds the single degree-cap test, which raises :class:`DegreeBoundExceeded`.
+At a point where the frame has full rank (a regular point) the flag makes
+no walk, so the degree cap is first read by :func:`ars.liealg.lie_closure`.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class GrowthVector:
     ``orders`` are the coordinate orders at the point up to the bound
     ``step``, which every order reaches once the flag has full rank.
     ``walk`` is the flag's bracket walk, stopped at full rank, or None when
-    the generators alone have full rank.
+    the generators' values alone have full rank and no walk was made.
     """
 
     dims: tuple[int, ...]
@@ -134,28 +137,39 @@ class BracketWalk:
 
 
 def _flag_levels(frame: Frame, point: Point, max_depth: int):
-    """Ranks of the bracket flag at a point, one per round of a :class:`BracketWalk`.
+    """Ranks of the bracket flag at a point, one per bracket length.
 
-    Stops at full rank, returning the walk stopped there when it made
-    brackets (one stopped at its generators would save none and only hold
-    a copy of them), or raises at stabilization or at the depth cap.
+    Round 0 is read off the fields' own values at the point: where they have
+    full rank the flag is (n) and no walk is made.  Below full rank a
+    :class:`BracketWalk` makes the brackets; its round 0, whose values are
+    already in, is consumed unread, and each later round adds the values of
+    the brackets that grew the walk's span.  Stops at full rank, returning
+    the walk stopped there, or raises at stabilization or at the depth cap.
     """
     n = frame.dim
+
+    def value(f: VectorField) -> dict:
+        return {i: c for i, c in enumerate(f._evaluate(point)) if c != 0}
+
     values = SpanBasis()
-    dims: list[int] = []
+    for f in frame.fields:
+        values.insert(value(f))
+    dims = [values.dim]
+    if values.dim == n:
+        return dims, 1, None
     walk = BracketWalk(frame.fields)
-    for grew in walk.rounds:
-        for f in grew:
-            values.insert({i: c for i, c in enumerate(f._evaluate(point)) if c != 0})
-        dims.append(values.dim)
-        if values.dim == n:
-            return dims, len(dims), walk if len(dims) > 1 else None
-        if not grew:
-            break
+    grew = next(walk.rounds)  # the nonzero generators, whose values are in already
+    while grew:
         if len(dims) >= max_depth:
             raise RankConditionFailure(
                 f"bracket flag still has rank {values.dim} < {n} after depth {max_depth}"
             )
+        grew = next(walk.rounds, [])
+        for f in grew:
+            values.insert(value(f))
+        dims.append(values.dim)
+        if values.dim == n:
+            return dims, len(dims), walk
     raise RankConditionFailure(
         f"bracket flag stabilized at rank {values.dim} < {n} at point {point}"
     )
@@ -172,11 +186,13 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, *, max_length
     components whose order is known and applies every frame field X with
     dir(X) & var(g) != 0 (otherwise X g = 0).  Words are explored up to
     max_length, which the caller must state, since an order can be
-    infinite; None marks an order beyond the bound.  Each level keeps a
-    basis of its span: a field that is a combination of others at its level
-    stays that combination, component by component, after every later word,
-    so pruning it keeps each level finite without changing the first
-    nonzero length.
+    infinite; None marks an order beyond the bound.  A level is read first
+    and pruned to a basis of its span only when a next level is built from
+    it: a field that is a combination of others at its level stays that
+    combination, component by component, after every later word, so pruning
+    it keeps each level finite without changing the first nonzero length.
+    The last level is never pruned, so at a point where the frame has full
+    rank (every order 1) no span is formed.
     """
     pt = as_point(point, frame.dim) if point is not None else frame.base_point
     n = frame.dim
@@ -184,9 +200,6 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, *, max_length
     directions = [(X, X.support[0]) for X in frame.fields]
     level = frame.fields
     for length in range(1, max_length + 1):
-        if len(level) > 1:  # a lone field is its level's basis, or zero and without successors
-            span = SpanBasis()
-            level = [g for g in level if span.insert(g.terms)]
         # component j of level[i] is polynomial i * n + j of one evaluation pass
         terms = [((i * n + j, e), c) for i, g in enumerate(level) for (j, e), c in g.terms.items()]
         values = _values(pt, terms, len(level) * n)
@@ -195,6 +208,9 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, *, max_length
                 orders[slot % n] = length
         if None not in orders or length == max_length:
             break
+        if len(level) > 1:  # a lone field is its level's basis, or zero and without successors
+            span = SpanBasis()
+            level = [g for g in level if span.insert(g.terms)]
         next_level = []
         for g in level:
             g = VectorField.from_terms(n, {k: c for k, c in g.terms.items() if orders[k[0]] is None})

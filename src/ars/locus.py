@@ -16,7 +16,8 @@ The sampler works in Python integers.  The determinant is held once per
 call as integer terms over one denominator, so a sample p/q is tested by
 an integer sum, and a line restriction is built from the integer
 polynomials p_i + t q_i d_i, whose coefficients over one denominator give
-the floats of the bisection, bit for bit those of ``float(Fraction)``.
+the floats of the bisection, bit for bit those of ``float(Fraction)``, or
+all divided by one power of two where one of those would leave float range.
 Rational roots of degree <= 2 (after the square-free reduction) are solved
 in closed form with ``math.isqrt``; above that the divisors of the constant
 term are tried only up to Fujiwara's root bound, so no search runs past the
@@ -317,6 +318,20 @@ def _rational_roots(coeffs: Sequence) -> list[Fraction]:
 _GRID = tuple(-40.0 + 2 * 40.0 * i / 400 for i in range(401))
 
 
+def _float_coefficients(coeffs: Sequence[int], denom: int) -> list[float]:
+    """The floats c / denom, or all c / (denom << k) when one of those would leave float range.
+
+    A quotient of integers of a and b bits is below 2^(a - b + 1), so k read
+    off the bit lengths keeps every quotient below 2^1023, and it is 0 when
+    every quotient is below 2^1022.  A common positive factor changes the
+    sign of no Horner value, so the bisection looks for the same roots.
+    """
+    top = max((abs(c).bit_length() for c in coeffs), default=0)
+    k = max(0, top - denom.bit_length() - 1022)
+    scale = denom << k
+    return [c / scale for c in coeffs]
+
+
 def _float_roots(cs: list[float], known: list[Fraction]) -> list[float]:
     """Real roots in [-40, 40] found by sign-change bisection, excluding known rationals.
 
@@ -355,7 +370,9 @@ def _float_roots(cs: list[float], known: list[Fraction]) -> list[float]:
                 else:
                     lo, flo = mid, fm
             found.append((lo + hi) / 2)
-    return [t for t in found if all(abs(t - float(r)) > 1e-7 for r in known)]
+    # a known root beyond 41 is never within 1e-7 of the grid, and may be beyond float range
+    near = [float(r) for r in known if abs(r) < 41]
+    return [t for t in found if all(abs(t - r) > 1e-7 for r in near)]
 
 
 def stratify_samples(
@@ -406,7 +423,7 @@ def stratify_samples(
             rroots = _rational_roots(coeffs)
             # a Fraction root gives an exact point, a float root an approximate one;
             # int / int is correctly rounded, as float(Fraction) is
-            for t in rroots + _float_roots([c / denom for c in coeffs], rroots):
+            for t in rroots + _float_roots(_float_coefficients(coeffs, denom), rroots):
                 point = tuple(Fraction(p, q) + t * d for (p, q), d in zip(base, direction))
                 line_roots.append(StratumHit(point, isinstance(t, Fraction)))
     # the determinant vanishes at a rational root, so its corank is at least 1

@@ -141,11 +141,11 @@ def _signed_sum(terms: Iterable[tuple[int | Fraction, list[str]]], first_minus: 
     """
     parts = []
     for c, factors in terms:
-        body = " ".join(factors if factors and abs(c) == 1 else [str(abs(c)), *factors])
-        if c < 0:
-            parts.append(("- " if parts else first_minus) + body)
-        else:
-            parts.append(("+ " if parts else "") + body)
+        negative = c < 0
+        magnitude = -c if negative else c
+        body = " ".join(factors if factors and magnitude == 1 else [str(magnitude), *factors])
+        sign = ("- " if parts else first_minus) if negative else ("+ " if parts else "")
+        parts.append(sign + body)
     return " ".join(parts) or "0"
 
 

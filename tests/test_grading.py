@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ars.grading
+import ars.linalg
 from ars.grading import (
     RankConditionFailure,
     check_privileged,
@@ -129,6 +131,26 @@ def test_growth_vector_away_from_locus(e1_frame):
     growth, weights = growth_vector(e1_frame, point=(1, 1, 1))
     assert growth.dims == (3,)
     assert weights == (1, 1, 1)
+
+
+def test_regular_point_flag_forms_only_the_values_span(monkeypatch):
+    # where the fields' values have full rank, the flag inserts those values
+    # and nothing else: no walk, so no bracket and no span of the fields'
+    # terms, and coordinate_orders at bound 1 prunes no level
+    frame = parse_frame("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^300 d/dy\n").to_frame()
+    brackets, inserts = [], []
+    insert = ars.linalg.SpanBasis.insert
+
+    def counting(self, vec):
+        inserts.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(ars.grading, "lie_bracket", lambda X, Y: brackets.append((X, Y)))
+    monkeypatch.setattr(ars.linalg.SpanBasis, "insert", counting)
+    growth, weights = growth_vector(frame, point=(Fraction(9, 8), Fraction(-7, 9)))
+    assert (growth.dims, growth.step, growth.orders, growth.walk, weights) == ((2,), 1, (1, 1), None, (1, 1))
+    assert brackets == []
+    assert len(inserts) == 2 and all(set(vec) <= {0, 1} for vec in inserts)
 
 
 # --- privileged checks --------------------------------------------------------

@@ -705,14 +705,14 @@ def test_closure_from_the_flag_walk_matches_a_fresh_closure(e1_frame, e2_frame, 
         walked = lie_closure(A.fields, walk=growth.walk)
         assert walked.basis == fresh.basis and walked._table == fresh._table
         own = [f for f in A.fields if not f.is_zero] == [f for f in frame.fields if not f.is_zero]
-        # a flag that needs no bracket keeps no walk
+        # a flag that needs no bracket makes no walk
         assert (growth.walk is None) == (len(growth.dims) == 1)
         finished.append(growth.walk is not None and walked._span is growth.walk.span)
         assert finished[-1] == (own and growth.walk is not None)
         owns.append(own)
     # E1, E3, grushin_pow, chain and x^k are their own approximations and E2
     # is not; of the 50 random frames whose flag reaches full rank, one is,
-    # but its generators alone have full rank, so no walk is kept for it
+    # but its generators' values alone have full rank, so no walk is made for it
     assert finished[:18] == owns[:18] == [True, False] + [True] * 16
     assert len(finished) == 18 + 50 and sum(owns[18:]) == 1 and not any(finished[18:])
 

@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ars.locus
 from ars.locus import (
     DegenerateZ1,
     NotOnZ1,
+    _float_coefficients,
     _float_roots,
     _IntegerForm,
     _rational_roots,
@@ -24,6 +26,7 @@ from ars.locus import (
     stratify_samples,
     tangency_check,
 )
+from ars.grading import growth_vector
 from ars.parser import parse_frame
 from ars.pipeline import AnalyzeOptions, analyze
 from ars.symcore import Frame, Polynomial, VectorField
@@ -32,6 +35,8 @@ from conftest import time_limit
 from oracles import (
     dict_to_poly,
     frame_cofactor_det,
+    naive_coordinate_orders,
+    naive_flag_dims,
     naive_float_roots,
     naive_sample_coranks,
     naive_substitute,
@@ -356,6 +361,23 @@ def small_frame(draw):
     return Frame([f"v{i}" for i in range(dim)], fields)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_frame(), st.integers(0, 2**16))
+def test_regular_point_flag_is_the_fields_values(frame, seed):
+    # off the singular locus the structure is Riemannian: the flag is (n) at
+    # length 1 with every order 1, read off the values and with no walk
+    rng = random.Random(seed)
+    det = frame_determinant(frame)
+    point = next((p for p in (random_rational_point(rng, frame.dim) for _ in range(4)) if det.evaluate(p)), None)
+    assume(point is not None)
+    growth, weights = growth_vector(frame, point=point)
+    n = frame.dim
+    assert (growth.dims, growth.step, growth.orders, growth.walk) == ((n,), 1, (1,) * n, None)
+    assert weights == (1,) * n
+    assert naive_flag_dims(list(frame.fields), point, 1) == [n]
+    assert naive_coordinate_orders(frame, point, 1) == [1] * n
+
+
 # the oracle ranks only the random samples, so line search stays off here;
 # test_line_hits_on_small_frames_lie_on_the_locus runs it
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -585,6 +607,28 @@ def test_float_roots_keep_the_spurious_root_near_a_triple_root():
     assert known == [Fraction(6, 5), Fraction(17, 12)]
     got = _float_roots([float(c) for c in coeffs], known)
     assert got and list(map(float.hex, got)) == list(map(float.hex, naive_float_roots(coeffs, known)))
+
+
+def test_float_coefficients_in_range_are_the_quotients():
+    coeffs, denom = [3, -7, 10**300, 0, -(2**1000)], 9**50
+    assert _float_coefficients(coeffs, denom) == [c / denom for c in coeffs]
+    assert _float_coefficients([], 5) == []
+
+
+def test_float_coefficients_beyond_float_range_share_a_power_of_two():
+    # 10^400 (1 - 3t + t^2) / 7: every quotient leaves float range, so all are
+    # divided by one power of two, which keeps their signs and ratios
+    coeffs, denom = [10**400, -3 * 10**400, 10**400], 7
+    floats = _float_coefficients(coeffs, denom)
+    k = round(math.log2(Fraction(10**400, denom) / Fraction(floats[0])))
+    assert k > 0 and floats == [c / (denom << k) for c in coeffs]
+    assert _float_roots(floats, []) == pytest.approx([(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2])
+
+
+def test_float_roots_skip_known_roots_beyond_float_range():
+    # t - 1 with a known root 10^400, which float() cannot convert
+    assert _float_roots([-1.0, 1.0], [Fraction(10**400)]) == [1.0]
+    assert _float_roots([-1.0, 1.0], [Fraction(10**400), Fraction(1)]) == []
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

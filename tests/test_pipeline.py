@@ -30,6 +30,7 @@ from conftest import (
     NOT_PRIVILEGED_TEXT,
     RANK_FAIL_TEXT,
     TANGENTIAL_TEXT,
+    time_limit,
 )
 
 
@@ -187,15 +188,20 @@ def test_bracket_counts_by_caller(text, expected, monkeypatch):
 
 @pytest.mark.parametrize(
     ("text", "expected"),
-    [(E3_TEXT, 102), ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 252)],
-    ids=["E3", "3/7 x^40 d/dy"],
+    [
+        (E3_TEXT, 93),
+        ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 252),
+        ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^300 d/dy\npoint 9/8 -7/9\n", 14),
+    ],
+    ids=["E3", "3/7 x^40 d/dy", "3/7 x^300 d/dy @regular"],
 )
 def test_span_inserts_per_analyze(text, expected, monkeypatch):
     # subalgebra and classify_fields take rows that are already canonical as
     # they are, ideal_closure inserts each layer's nonzero brackets once, and
-    # coordinate_orders inserts each level's fields before reading their values;
+    # coordinate_orders inserts each level's fields only to build the next level;
     # graded_frame inserts the values of G's basis at the origin once, for
-    # every coordinate, and no separate rank of G is taken
+    # every coordinate, and no separate rank of G is taken; at a regular
+    # point the flag inserts the fields' values only
     calls = []
     insert = ars.linalg.SpanBasis.insert
 
@@ -210,12 +216,18 @@ def test_span_inserts_per_analyze(text, expected, monkeypatch):
 
 @pytest.mark.parametrize(
     ("text", "expected"),
-    [(E3_TEXT, 9), ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 40)],
-    ids=["E3", "3/7 x^40 d/dy"],
+    [
+        (E3_TEXT, 9),
+        ("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^40 d/dy\n", 40),
+        ("vars x y z\nfield X1 = d/dx\nfield X2 = x d/dy + x^2 d/dz\nfield X3 = 2 x d/dy + 2 x^2 d/dz\n", 2),
+    ],
+    ids=["E3", "3/7 x^40 d/dy", "X3 = 2 X2"],
 )
 def test_vf_apply_calls_per_analyze(text, expected, monkeypatch):
     # coordinate_orders makes one walk over fields for every coordinate, and
-    # drops the components whose order it has found from longer words
+    # drops the components whose order it has found from longer words; a
+    # level is pruned to a basis before its successors are made, so the
+    # frame's own dependent field X3 = 2 X2 makes no words
     calls = []
     apply = ars.symcore.vf_apply
 
@@ -346,6 +358,16 @@ def test_cli_reports_are_byte_identical(tmp_path):
     assert main(["analyze", src, "--json", str(out1), "--stratify", "--seed", "5"]) == 0
     assert main(["analyze", src, "--json", str(out2), "--stratify", "--seed", "5"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_stratify_with_a_coefficient_beyond_float_range(tmp_path, capsys):
+    # the determinant 10^400 x restricts to lines whose quotients leave float
+    # range; the bisection takes them divided by one power of two
+    src = _write(tmp_path, "big.frame", f"vars x y\nfield X1 = d/dx\nfield X2 = {10**400} x d/dy\n")
+    with time_limit(20):
+        assert main(["analyze", src, "--stratify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["weights"] == [1, 2] and report["stratification"][0]["r"] == 1
 
 
 def test_cli_exit_code_parse_error(tmp_path, capsys):
