@@ -6,22 +6,22 @@ generic frame Z_r has codimension r^2, and the pure-arithmetic consequences
 of that picture (largest corank, reachable dimensions, feasibility windows
 for tangency defects) are tabulated by :func:`genericity_codims`.
 
-The submersion and tangency tests read the determinant's gradient at a
-point of the corank-1 stratum Z_1.  :func:`stratify_samples` reads corank 0
-off the determinant, ranks only its zero set, and adds one sample per root
-of the determinant on each random line: exact at a rational root, and
-approximate (floats, on Z_1) at an irrational one.
+The submersion and tangency tests read the determinant's gradient at a point of
+the corank-1 stratum Z_1.  :func:`stratify_samples` reads corank 0 off the
+determinant and corank 1 off its gradient, ranks only the rest of its zero set,
+and adds one sample per root of the determinant on each random line: exact at a
+rational root, approximate (floats, on Z_1) at an irrational one.  A nonzero
+constant determinant has no zero, and nothing is drawn.
 
-The sampler works in Python integers.  The determinant is held once per
-call as integer terms over one denominator, so a sample p/q is tested by
-an integer sum, and a line restriction is built from the integer
-polynomials p_i + t q_i d_i, whose coefficients over one denominator give
-the floats of the bisection, bit for bit those of ``float(Fraction)``, or
-all divided by one power of two where one of those would leave float range.
-Rational roots of degree <= 2 (after the square-free reduction) are solved
-in closed form with ``math.isqrt``; above that the divisors of the constant
-term are tried only up to Fujiwara's root bound, so no search runs past the
-size of the roots.
+The sampler works in Python integers.  The determinant and its gradient are
+held once per call as integer terms over one denominator, so a sample p/q is
+tested by an integer sum, and a line restriction is built from the integer
+polynomials p_i + t q_i d_i, whose coefficients over one denominator give the
+floats of the bisection, bit for bit those of ``float(Fraction)``, or all
+divided by one power of two where one of those would leave float range.
+Rational roots of degree <= 2 (after the square-free reduction) are solved in
+closed form with ``math.isqrt``; above, the divisors of the constant term are
+tried only up to Fujiwara's root bound, so no search runs past the roots' size.
 """
 
 from __future__ import annotations
@@ -108,13 +108,17 @@ def _point_text(pt: Point) -> str:
     return "(" + ", ".join(map(str, pt)) + ")"
 
 
+def _gradient(det: Polynomial) -> list[Polynomial]:
+    """The partial derivatives d det/dx_j, j = 0, ..., n - 1."""
+    return [vf_apply(VectorField.coordinate(det.dim, j), det) for j in range(det.dim)]
+
+
 def _z1_gradient(frame: Frame, point: Sequence) -> tuple[Point, list[Fraction]]:
     """The point and the determinant's gradient there; NotOnZ1 unless the corank is 1."""
     pt = as_point(point, frame.dim)
     if corank_at(frame, pt) != 1:
         raise NotOnZ1(f"corank at {_point_text(pt)} is not 1")
-    det = frame_determinant(frame)
-    return pt, [vf_apply(VectorField.coordinate(frame.dim, j), det)._evaluate(pt) for j in range(frame.dim)]
+    return pt, [g._evaluate(pt) for g in _gradient(frame_determinant(frame))]
 
 
 def det_submersion_check(frame: Frame, point: Sequence) -> bool:
@@ -138,7 +142,8 @@ def tangency_check(frame: Frame, point: Sequence) -> bool:
 
 def _default_ratios(rng: random.Random, dim: int) -> list[tuple[int, int]]:
     """The coordinates of a default sample as (numerator, denominator) pairs, not in lowest terms."""
-    return [(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(dim)]
+    # randint(a, b) is defined as randrange(a, b + 1): the same draws, one call fewer
+    return [(rng.randrange(-20, 21), rng.randrange(1, 9)) for _ in range(dim)]
 
 
 def default_sampler(rng: random.Random, dim: int) -> Point:
@@ -336,11 +341,15 @@ def _float_roots(cs: list[float], known: list[Fraction]) -> list[float]:
     """Real roots in [-40, 40] found by sign-change bisection, excluding known rationals.
 
     The grid is evaluated in one Horner pass.  Bisection stops when the
-    midpoint equals an endpoint: from there on no step changes the
-    interval's midpoint, which is the root returned.
+    midpoint equals an endpoint: from there on no step changes the interval's
+    midpoint, which is the root returned.  Below a width of 2e-7 it also stops
+    once both ends are within 1e-7 of one known root r: rounding is monotone,
+    so the root it would return is as near r, and dropped.
     """
     if len(cs) < 2:
         return []
+    # a known root beyond 41 is never within 1e-7 of the grid, and may be beyond float range
+    near = [float(r) for r in known if abs(r) < 41]
 
     def val(t: float) -> float:
         acc = 0.0
@@ -361,6 +370,8 @@ def _float_roots(cs: list[float], known: list[Fraction]) -> list[float]:
                 mid = (lo + hi) / 2
                 if mid == lo or mid == hi:
                     break
+                if hi - lo < 2e-7 and any(abs(lo - r) <= 1e-7 and abs(hi - r) <= 1e-7 for r in near):
+                    break
                 fm = val(mid)
                 if fm == 0.0:
                     lo = hi = mid
@@ -370,8 +381,6 @@ def _float_roots(cs: list[float], known: list[Fraction]) -> list[float]:
                 else:
                     lo, flo = mid, fm
             found.append((lo + hi) / 2)
-    # a known root beyond 41 is never within 1e-7 of the grid, and may be beyond float range
-    near = [float(r) for r in known if abs(r) < 41]
     return [t for t in found if all(abs(t - r) > 1e-7 for r in near)]
 
 
@@ -391,6 +400,11 @@ def stratify_samples(
     and its rational roots give exact corank >= 1 samples; irrational roots
     are bisected in floating point and flagged approximate.  Deterministic
     for a fixed seed.
+
+    An exact zero is ranked only where the determinant's gradient vanishes too:
+    d det M = tr(adj(M) dM) (Jacobi), so a nonzero gradient gives adj(M) != 0
+    and corank 1.  A nonzero constant determinant has no zero: nothing is drawn
+    or searched, and the reports hold no hit and count the budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -402,38 +416,49 @@ def stratify_samples(
         if sampler is not None
         else (lambda: _default_ratios(rng, n))
     )
-    detp = _IntegerForm(frame_determinant(frame))
-
+    det = frame_determinant(frame)
+    detp = _IntegerForm(det)
+    zero_free = detp.degree == 0
     hits: dict[int, list[StratumHit]] = {}
-    for _ in range(budget):
+
+    @functools.cache
+    def gradient() -> list[_IntegerForm]:
+        return [_IntegerForm(g) for g in _gradient(det)]
+
+    def add_zero(ratios: list[tuple[int, int]]) -> None:
+        """Record the zero of the determinant at the ratios p_i/q_i as an exact hit."""
+        pt = tuple(Fraction(p, q) for p, q in ratios)
+        r = corank_at(frame, pt) if all(g.vanishes_at(ratios) for g in gradient()) else 1
+        hits.setdefault(r, []).append(StratumHit(pt, True))
+
+    for _ in range(0 if zero_free else budget):
         sample = draw()
         if detp.vanishes_at(sample):
-            # an n x n matrix has full rank exactly where its determinant is nonzero
-            pt = tuple(Fraction(p, q) for p, q in sample)
-            hits.setdefault(corank_at(frame, pt), []).append(StratumHit(pt, True))
+            add_zero(sample)
     random_hit_coranks = set(hits)
 
-    line_roots: list[StratumHit] = []
-    for _ in range(max(4, min(24, budget // 10)) if line_search else 0):
+    line_roots = 0
+    for _ in range(max(4, min(24, budget // 10)) if line_search and not zero_free else 0):
         base = draw()
-        direction = [rng.randint(-5, 5) for _ in range(n)]
+        direction = [rng.randrange(-5, 6) for _ in range(n)]
         if any(direction):
             # the determinant on base + t*direction, as integers over one denominator
             coeffs, denom = detp.on_line(base, direction)
             rroots = _rational_roots(coeffs)
-            # a Fraction root gives an exact point, a float root an approximate one;
-            # int / int is correctly rounded, as float(Fraction) is
-            for t in rroots + _float_roots(_float_coefficients(coeffs, denom), rroots):
-                point = tuple(Fraction(p, q) + t * d for (p, q), d in zip(base, direction))
-                line_roots.append(StratumHit(point, isinstance(t, Fraction)))
-    # the determinant vanishes at a rational root, so its corank is at least 1
-    for hit in line_roots:
-        hits.setdefault(corank_at(frame, hit.point) if hit.exact else 1, []).append(hit)
+            froots = _float_roots(_float_coefficients(coeffs, denom), rroots)
+            line_roots += len(rroots) + len(froots)
+            line = [(p, q, d) for (p, q), d in zip(base, direction)]
+            for a, b in map(Fraction.as_integer_ratio, rroots):
+                # at t = a/b coordinate i is (p_i b + q_i a d_i) / (q_i b)
+                add_zero([(p * b + q * a * d, q * b) for p, q, d in line])
+            for t in froots:
+                # int / int is correctly rounded, as float(Fraction) is
+                hits.setdefault(1, []).append(StratumHit(tuple(p / q + t * d for p, q, d in line), False))
 
     return tuple(
         StratumReport(
             r=r,
-            sample_count=budget + len(line_roots),
+            sample_count=budget + line_roots,
             hits=tuple(hits.get(r, [])),
             estimated_codim=0 if r in random_hit_coranks else 1 if r == 1 and r in hits else None,
             predicted_codim=r * r,

@@ -15,11 +15,14 @@ import ars.locus
 from ars.locus import (
     DegenerateZ1,
     NotOnZ1,
+    StratumReport,
     _float_coefficients,
     _float_roots,
+    _gradient,
     _IntegerForm,
     _rational_roots,
     corank_at,
+    default_sampler,
     det_submersion_check,
     frame_determinant,
     genericity_codims,
@@ -33,6 +36,7 @@ from ars.symcore import Frame, Polynomial, VectorField
 
 from conftest import time_limit
 from oracles import (
+    dense_rank,
     dict_to_poly,
     frame_cofactor_det,
     naive_coordinate_orders,
@@ -340,6 +344,29 @@ def test_sampler_ranks_nowhere_when_determinant_is_constant(monkeypatch):
     calls = count_corank_calls(monkeypatch)
     assert sampled_coranks(frame, 120, 5) == naive_sample_coranks(frame, 120, 5) == {}
     assert calls[0] == 0
+    # a zero-free determinant decides every report: no sample is drawn and no line searched
+    draws = [0]
+
+    def counting_sampler(rng):
+        draws[0] += 1
+        return default_sampler(rng, 2)
+
+    for sampler in (None, counting_sampler):
+        reports = stratify_samples(frame, 120, seed=5, sampler=sampler)
+        assert reports == (StratumReport(r=1, sample_count=120, hits=(), estimated_codim=None, predicted_codim=1),)
+    assert draws[0] == 0
+
+
+def test_sampler_ranks_where_the_gradient_vanishes(monkeypatch, e2_frame):
+    # E2 at the origin: corank 2, so adj(M) = 0 and the determinant's
+    # gradient vanishes; no certificate applies and every hit is ranked
+    origin = (0, 0, 0, 0)
+    assert corank_at(e2_frame, origin) == 2
+    assert all(g.evaluate(origin) == 0 for g in _gradient(frame_determinant(e2_frame)))
+    calls = count_corank_calls(monkeypatch)
+    reports = stratify_samples(e2_frame, 30, seed=0, sampler=lambda rng: origin, line_search=False)
+    assert calls[0] == 30
+    assert [(r.r, len(r.hits), r.estimated_codim) for r in reports] == [(1, 0, None), (2, 30, 0)]
 
 
 def grid_sampler(dim):
@@ -387,21 +414,42 @@ def test_sampler_matches_oracle_on_small_frames(frame, on_grid, seed):
     assert sampled_coranks(frame, 40, seed, sampler) == naive_sample_coranks(frame, 40, seed, sampler)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_frame(), st.integers(0, 2**16))
+def test_nonzero_gradient_at_a_line_root_means_corank_one(frame, seed):
+    # Jacobi: d det M = tr(adj(M) dM), so where det = 0 and its gradient is
+    # nonzero adj(M) != 0 and the corank is exactly 1, by corank_at and by
+    # the dense-rank oracle alike
+    rng = random.Random(seed)
+    det = frame_determinant(frame)
+    assume(not det.is_zero)
+    detp, grad, n = _IntegerForm(det), _gradient(det), frame.dim
+    for _ in range(4):
+        base = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        direction = [rng.randint(-3, 3) for _ in range(n)]
+        for t in _rational_roots(detp.on_line(base, direction)[0]) if any(direction) else []:
+            point = [Fraction(p, q) + t * d for (p, q), d in zip(base, direction)]
+            assert det.evaluate(point) == 0
+            if any(g.evaluate(point) for g in grad):
+                assert corank_at(frame, point) == n - dense_rank([f.evaluate(point) for f in frame.fields]) == 1
+
+
 @pytest.mark.parametrize(
     "name, line_search, calls, summary",
     [
-        ("e1_frame", True, 48, [(1, 48, 238, 0)]),
-        ("e2_frame", True, 43, [(1, 43, 236, 0), (2, 0, 236, None)]),
-        ("e3_frame", True, 61, [(1, 61, 254, 0), (2, 1, 254, None)]),
-        ("e1_frame", False, 10, [(1, 10, 200, 0)]),
-        ("e2_frame", False, 7, [(1, 7, 200, 0), (2, 0, 200, None)]),
-        ("e3_frame", False, 8, [(1, 8, 200, 0), (2, 0, 200, None)]),
+        ("e1_frame", True, 27, [(1, 48, 238, 0)]),
+        ("e2_frame", True, 0, [(1, 43, 236, 0), (2, 0, 236, None)]),
+        ("e3_frame", True, 22, [(1, 61, 254, 0), (2, 1, 254, None)]),
+        ("e1_frame", False, 7, [(1, 10, 200, 0)]),
+        ("e2_frame", False, 0, [(1, 7, 200, 0), (2, 0, 200, None)]),
+        ("e3_frame", False, 3, [(1, 8, 200, 0), (2, 0, 200, None)]),
     ],
 )
 def test_sampler_ranks_only_on_the_zero_set(request, monkeypatch, name, line_search, calls, summary):
-    # corank 0 is read off the determinant, so only the random samples on
-    # its zero set and the rational line roots are ranked; ranking every
-    # random sample would make 190 to 193 more calls
+    # corank 0 is read off the determinant, and corank 1 off its gradient
+    # wherever that is nonzero, so only the zeros of the whole gradient among
+    # the random samples on the zero set and the rational line roots are
+    # ranked; ranking every random sample would make 190 to 193 more calls
     frame = request.getfixturevalue(name)
     counter = count_corank_calls(monkeypatch)
     reports = stratify_samples(frame, 200, seed=0, line_search=line_search)
@@ -607,6 +655,17 @@ def test_float_roots_keep_the_spurious_root_near_a_triple_root():
     assert known == [Fraction(6, 5), Fraction(17, 12)]
     got = _float_roots([float(c) for c in coeffs], known)
     assert got and list(map(float.hex, got)) == list(map(float.hex, naive_float_roots(coeffs, known)))
+
+
+@pytest.mark.parametrize("offset", [-15, -5, 5, 15])
+def test_float_roots_stop_early_only_when_both_ends_are_near_a_known_root(offset):
+    # t^2 - 2 with a known root offset * 1e-8 from sqrt(2): a bisection that
+    # stopped with one end near the known root would return another float
+    coeffs = [Fraction(-2), Fraction(0), Fraction(1)]
+    known = [Fraction(math.sqrt(2)) + Fraction(offset, 10**8)]
+    got = _float_roots([float(c) for c in coeffs], known)
+    assert list(map(float.hex, got)) == list(map(float.hex, naive_float_roots(coeffs, known)))
+    assert len(got) == (2 if abs(offset) > 10 else 1)
 
 
 def test_float_coefficients_in_range_are_the_quotients():
