@@ -1,14 +1,19 @@
 """Command line interface.
 
+``analyze`` runs every stage of ``pipeline.stages``.  A view command (locus,
+weights, approx, liealg) stops after the stage of its name and prints the
+report built up to it, the ``partial`` that a failure in the next stage carries.
+
 Exit codes: 0 success, 2 parse or usage error (a frame file that cannot be
 read as UTF-8 text, a --json path that cannot be written, an option that
 does not fit the frame, a --max-bracket-depth below 1, an ARS_MAX_DEGREE
 that is not an integer >= 1, or codims n < 2), 3 rank-condition failure,
 4 the coordinates are not privileged for the weights, 5 degenerate
 approximation (the report is still written), 6 a bracket exceeded the
-degree cap ARS_MAX_DEGREE.  Every exit
-2, 3, 4 and 6 prints one ``label: message`` line on stderr and writes a
-JSON diagnostic, to stdout when the --json path cannot be written.
+degree cap ARS_MAX_DEGREE.  Exits 3 to 6 come only from stages a command
+runs, so locus exits 0 or 2.  Every exit 2, 3, 4 and 6 prints one
+``label: message`` line on stderr and writes a JSON diagnostic, to stdout
+when the --json path cannot be written.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from pathlib import Path
 from .grading import DegreeBoundExceeded, RankConditionFailure, check_weights
 from .locus import genericity_codims
 from .parser import ParseError, parse_frame
-from .pipeline import REPORT_SCHEMA, AnalyzeOptions, NotPrivileged, Report, analyze, json_text
+from .pipeline import REPORT_SCHEMA, AnalyzeOptions, NotPrivileged, Report, json_text, stages
 from .symcore import as_point, max_degree_cap
 
 EXIT_OK = 0
@@ -76,10 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("--seed", type=int, default=AnalyzeOptions.seed)
 
     for name, help_text in (
-        ("weights", "growth vector and weights only"),
-        ("approx", "approximating fields only"),
-        ("liealg", "Lie algebra summary only"),
-        ("locus", "singular locus summary only"),
+        ("locus", "the report up to the determinant"),
+        ("weights", "the report up to the growth vector and weights"),
+        ("approx", "the report up to the approximating fields"),
+        ("liealg", "the report up to the Lie algebra, without probes"),
     ):
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
@@ -154,15 +159,15 @@ def _run_analysis(args, command: str) -> int:
     except ValueError as exc:
         return _fail("usage error", EXIT_USAGE, exc, args.json_out)
     try:
-        report = analyze(doc, options)
+        # a view stops after its own stage; analyze names none of them
+        for stage, report in stages(doc, options):
+            if stage == command:
+                break
     except tuple(_ANALYZE_FAILURES) as exc:
         return _fail(*_ANALYZE_FAILURES[type(exc)], exc, args.json_out)
 
-    payload = report.to_json_dict()
-    if command != "analyze":
-        payload = _trim_payload(payload, command)
     try:
-        _write_json(payload, args.json_out)
+        _write_json(report.to_json_dict(), args.json_out)
     except OSError as exc:
         return _fail("usage error", EXIT_USAGE, exc, None)
     if args.json_out:
@@ -170,22 +175,6 @@ def _run_analysis(args, command: str) -> int:
     if report.approximation is not None and report.approximation.degenerate:
         return EXIT_DEGENERATE
     return EXIT_OK
-
-
-_SECTION_KEYS = {
-    "weights": {"schema", "vars", "base_point", "growth", "weights", "weights_source",
-                "privileged", "coordinate_orders", "warnings"},
-    "approx": {"schema", "vars", "base_point", "growth", "weights", "weights_source",
-               "privileged", "approximation", "warnings"},
-    "liealg": {"schema", "vars", "base_point", "weights", "approximation",
-               "lie_algebra", "warnings"},
-    "locus": {"schema", "vars", "base_point", "determinant", "stratification", "warnings"},
-}
-
-
-def _trim_payload(payload: dict, command: str) -> dict:
-    keep = _SECTION_KEYS[command]
-    return {k: v for k, v in payload.items() if k in keep}
 
 
 def _print_summary(report: Report, command: str) -> None:

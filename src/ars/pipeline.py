@@ -1,12 +1,11 @@
 """End-to-end analysis of a frame document and JSON report serialization.
 
-The pipeline runs: growth vector -> privileged check -> approximation ->
-Lie closure -> ideal -> nilpotency/solvability -> classification ->
-determinant, with optional flow and stratification probes.  The flow probe
-reports the exact triangular-completeness certificate of each
-approximating field; no flow is integrated numerically.  It aborts with
-a structured diagnostic at the first failed precondition; a degenerate
-approximation still yields a (partial) report carrying the flag.
+``stages`` fills one report stage by stage, in the order its docstring
+states, and ``analyze`` runs all of them.  The flow probe reports the exact
+triangular-completeness certificate of each approximating field; no flow is
+integrated numerically.  A failed precondition ends the stages with a
+structured diagnostic; a degenerate approximation still yields a (partial)
+report carrying the flag.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import locus as locus_mod
 from .approx import ApproximationSet, build_approximation, check_triangular_complete
@@ -168,14 +167,18 @@ def _determinant_summary(frame: Frame) -> tuple[dict, list[str]]:
     return summary, warnings
 
 
-def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report:
-    """Run the full pipeline on a parsed document.
+def stages(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Iterator[tuple[str, Report]]:
+    """Fill one report stage by stage and yield ``(name, report)`` after each.
 
-    Raises RankConditionFailure or NotPrivileged when the corresponding
-    precondition fails, and DegreeBoundExceeded when a bracket of the flag
-    or of the algebra exceeds the degree cap; each carries the partial
-    report as ``exc.report``.  A degenerate approximation is returned inside
-    the report instead.
+    The stages, in order: ``"locus"``, the base point moved to the origin and
+    the determinant, which every later partial report therefore carries;
+    ``"weights"``, the growth vector, the weights, the coordinate orders and
+    the privileged check; ``"approx"``, the approximating frame, where a
+    degenerate one ends the stages; ``"liealg"``, L, its ideal G, the
+    classification and G's graded frame.  The probes that ``options`` asks
+    for then finish the report.  RankConditionFailure, NotPrivileged and
+    DegreeBoundExceeded (a bracket of the flag or of the algebra past the
+    degree cap) carry the report built up to the failure as ``exc.report``.
     """
     options = options or AnalyzeOptions()
     frame = doc.to_frame()
@@ -196,75 +199,82 @@ def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report
         )
     report.determinant, det_warnings = _determinant_summary(frame)
     report.warnings.extend(det_warnings)
+    yield "locus", report
+
     try:
-        _algebra_stages(report, doc, frame, options)
+        growth, auto_weights = growth_vector(frame, max_depth=options.max_bracket_depth)
+        # the report keeps the flag's dims, not its walk, which lie_closure may finish
+        report.growth = replace(growth, walk=None)
+
+        declared = options.weights if options.weights not in ("auto", None) else doc.weights
+        weights = auto_weights if declared is None else check_weights(declared, frame.dim)
+        report.weights, report.weights_source = weights, "auto" if declared is None else "declared"
+
+        # the orders up to max(weights) are growth's orders cut at that bound
+        bound = max(weights)
+        orders = [o if o is not None and o <= bound else None for o in growth.orders]
+        report.coordinate_orders = tuple(orders)
+        report.privileged = all(o == w for o, w in zip(orders, weights))
+        if not report.privileged:
+            raise NotPrivileged(f"coordinate orders {orders} do not match weights {list(weights)}")
+        yield "weights", report
+
+        A = build_approximation(frame, weights)
+        report.approximation = A
+        if A.degenerate:
+            report.warnings.append(
+                "approximating fields are linearly dependent: the approximation is "
+                "sub-Riemannian, not almost-Riemannian"
+            )
+        yield "approx", report
+        if A.degenerate:
+            return
+
+        # a frame that is its own approximation has the flag's walk finished
+        L = lie_closure(A.fields, walk=growth.walk)
+        G = ideal_closure(L, A.hat_fields[: A.k])
+        report.classification = classify_fields(A, L, G)
+        # G is an ideal generated by homogeneous fields of a graded L, so it has
+        # a graded frame exactly when its values at the base point span R^n
+        try:
+            report.graded_frame_fields = graded_frame(G, weights)
+        except GradedFrameUnavailable:
+            report.warnings.append("no graded frame: the ideal span is not homogeneous of full rank")
+        report.ideal_full_rank = report.graded_frame_fields is not None
+        yield "liealg", report
+
+        if options.probe_flows:
+            # The approximating fields have orders in {-1, 0}, so they are
+            # triangular and their flows are complete: no trajectory blows up.
+            report.flow_probe = [
+                {
+                    "field": f.format(frame.var_names),
+                    "triangular": check_triangular_complete(f, weights),
+                    "blowups": 0,
+                }
+                for f in A.fields
+            ]
+
+        if options.stratify:
+            reports = locus_mod.stratify_samples(frame, options.samples, seed=options.seed)
+            report.stratification = [
+                {
+                    "r": sr.r,
+                    "predicted_codim": sr.predicted_codim,
+                    "estimated_codim": sr.estimated_codim,
+                    "sample_count": sr.sample_count,
+                    "hits": len(sr.hits),
+                    "exact_hits": sum(1 for h in sr.hits if h.exact),
+                }
+                for sr in reports
+            ]
     except (RankConditionFailure, NotPrivileged, DegreeBoundExceeded) as exc:
         exc.report = report
         raise
+
+
+def analyze(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Report:
+    """Run every stage of ``stages`` and return the report, or raise what a stage raises."""
+    for _, report in stages(doc, options):
+        pass
     return report
-
-
-def _algebra_stages(report: Report, doc: FrameDocument, frame: Frame, options: AnalyzeOptions) -> None:
-    """Fill in the report from the flag on; a failed precondition raises with the report as it stands."""
-    growth, auto_weights = growth_vector(frame, max_depth=options.max_bracket_depth)
-    # the report keeps the flag's dims, not its walk, which lie_closure may finish
-    report.growth = replace(growth, walk=None)
-
-    declared = options.weights if options.weights not in ("auto", None) else doc.weights
-    weights = auto_weights if declared is None else check_weights(declared, frame.dim)
-    report.weights, report.weights_source = weights, "auto" if declared is None else "declared"
-
-    # the orders up to max(weights) are growth's orders cut at that bound
-    bound = max(weights)
-    orders = [o if o is not None and o <= bound else None for o in growth.orders]
-    report.coordinate_orders = tuple(orders)
-    report.privileged = all(o == w for o, w in zip(orders, weights))
-    if not report.privileged:
-        raise NotPrivileged(f"coordinate orders {orders} do not match weights {list(weights)}")
-
-    A = build_approximation(frame, weights)
-    report.approximation = A
-    if A.degenerate:
-        report.warnings.append(
-            "approximating fields are linearly dependent: the approximation is "
-            "sub-Riemannian, not almost-Riemannian"
-        )
-        return
-
-    # a frame that is its own approximation has the flag's walk finished
-    L = lie_closure(A.fields, walk=growth.walk)
-    G = ideal_closure(L, A.hat_fields[: A.k])
-    report.classification = classify_fields(A, L, G)
-    # G is an ideal generated by homogeneous fields of a graded L, so it has
-    # a graded frame exactly when its values at the base point span R^n
-    try:
-        report.graded_frame_fields = graded_frame(G, weights)
-    except GradedFrameUnavailable:
-        report.warnings.append("no graded frame: the ideal span is not homogeneous of full rank")
-    report.ideal_full_rank = report.graded_frame_fields is not None
-
-    if options.probe_flows:
-        # The approximating fields have orders in {-1, 0}, so they are
-        # triangular and their flows are complete: no trajectory blows up.
-        report.flow_probe = [
-            {
-                "field": f.format(frame.var_names),
-                "triangular": check_triangular_complete(f, weights),
-                "blowups": 0,
-            }
-            for f in A.fields
-        ]
-
-    if options.stratify:
-        reports = locus_mod.stratify_samples(frame, options.samples, seed=options.seed)
-        report.stratification = [
-            {
-                "r": sr.r,
-                "predicted_codim": sr.predicted_codim,
-                "estimated_codim": sr.estimated_codim,
-                "sample_count": sr.sample_count,
-                "hits": len(sr.hits),
-                "exact_hits": sum(1 for h in sr.hits if h.exact),
-            }
-            for sr in reports
-        ]

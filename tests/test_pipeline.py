@@ -11,10 +11,11 @@ import pytest
 import ars.grading
 import ars.liealg
 import ars.linalg
+import ars.pipeline
 import ars.symcore
 from ars.cli import main
 from ars.approx import build_approximation
-from ars.grading import RankConditionFailure, coordinate_orders, growth_vector
+from ars.grading import DegreeBoundExceeded, RankConditionFailure, coordinate_orders, growth_vector
 from ars.liealg import ideal_closure, is_solvable, lie_closure
 from ars.parser import parse_frame
 from ars.pipeline import AnalyzeOptions, NotPrivileged, analyze
@@ -477,24 +478,69 @@ def test_cli_exit_code_degenerate_writes_report(tmp_path):
     assert payload["approximation"]["degenerate"] is True
 
 
-def test_cli_subcommands(tmp_path, capsys):
+# the views in stage order, the keys of each on E1, and the first call of the
+# stage after each, which the reference run below makes fail
+VIEWS = ("locus", "weights", "approx", "liealg")
+_LOCUS_KEYS = {"schema", "vars", "base_point", "options", "warnings", "determinant"}
+_WEIGHTS_KEYS = _LOCUS_KEYS | {"growth", "weights", "weights_source", "privileged", "coordinate_orders"}
+VIEW_KEYS = {
+    "locus": _LOCUS_KEYS,
+    "weights": _WEIGHTS_KEYS,
+    "approx": _WEIGHTS_KEYS | {"approximation"},
+    "liealg": _WEIGHTS_KEYS | {"approximation", "lie_algebra"},
+}
+NEXT_STAGE_CALL = {"locus": "growth_vector", "weights": "build_approximation", "approx": "lie_closure"}
+# frame text, ARS_MAX_DEGREE, and the exit of each view in VIEWS order
+VIEW_FRAMES = {
+    "E1": (E1_TEXT, None, (0, 0, 0, 0)),
+    "rank_failure": (RANK_FAIL_TEXT, None, (0, 3, 3, 3)),
+    "not_privileged": (NOT_PRIVILEGED_TEXT, None, (0, 4, 4, 4)),
+    "x80_cap_in_flag": ("vars x y\nfield X1 = d/dx\nfield X2 = x^80 d/dy\n", None, (0, 6, 6, 6)),
+    "E3_cap_1_in_lie_closure": (E3_TEXT, "1", (0, 0, 0, 6)),
+    "degenerate": (DEGENERATE_TEXT, None, (0, 0, 5, 5)),
+}
+
+
+@pytest.mark.parametrize("frame", VIEW_FRAMES)
+@pytest.mark.parametrize("view", VIEWS)
+def test_cli_subcommands(tmp_path, capsys, monkeypatch, view, frame):
+    # a view prints the report built up to its stage and never runs a later
+    # one: the partial that analyze carries when the next stage fails, which
+    # the reference run forces by making that stage's first call raise
+    text, max_degree, exits = VIEW_FRAMES[frame]
+    if max_degree is not None:
+        monkeypatch.setenv("ARS_MAX_DEGREE", max_degree)
+    src = _write(tmp_path, "view.frame", text)
+    out, ref = tmp_path / "view.json", tmp_path / "analyze.json"
+    code = main([view, src, "--json", str(out)])
+    assert code == exits[VIEWS.index(view)]
+    if code in (3, 4, 6):
+        # a failure in the view's own stages is analyze's failure
+        assert main(["analyze", src, "--json", str(ref)]) == code
+        assert out.read_bytes() == ref.read_bytes()
+        return
+    if view in NEXT_STAGE_CALL:
+        def next_stage_fails(*args, **kwargs):
+            raise DegreeBoundExceeded("the next stage failed")
+
+        monkeypatch.setattr(ars.pipeline, NEXT_STAGE_CALL[view], next_stage_fails)
+    main(["analyze", src, "--json", str(ref)])
+    reference = json.loads(ref.read_text())
+    payload = json.loads(out.read_text())
+    assert payload == reference.get("partial", reference)
+    if frame == "E1":
+        assert set(payload) == VIEW_KEYS[view]
+        assert capsys.readouterr().out.startswith(f"{view}: ")
+
+
+def test_cli_locus_runs_no_algebra(tmp_path, capsys, monkeypatch):
+    def no_flag(*args, **kwargs):
+        raise AssertionError("the locus view built the bracket flag")
+
+    monkeypatch.setattr(ars.pipeline, "growth_vector", no_flag)
     src = _write(tmp_path, "e1.frame", E1_TEXT)
-    assert main(["weights", src]) == 0
-    weights_payload = json.loads(capsys.readouterr().out)
-    assert weights_payload["weights"] == [1, 2, 5]
-    assert "approximation" not in weights_payload
-
-    assert main(["approx", src]) == 0
-    approx_payload = json.loads(capsys.readouterr().out)
-    assert approx_payload["approximation"]["k"] == 1
-
-    assert main(["liealg", src]) == 0
-    liealg_payload = json.loads(capsys.readouterr().out)
-    assert liealg_payload["lie_algebra"]["ideal_dim"] == 5
-
     assert main(["locus", src]) == 0
-    locus_payload = json.loads(capsys.readouterr().out)
-    assert locus_payload["determinant"]["polynomial"] == "x y^2"
+    assert json.loads(capsys.readouterr().out)["determinant"]["polynomial"] == "x y^2"
 
 
 def test_cli_codims(capsys):
