@@ -8,17 +8,21 @@ for tangency defects) are tabulated by :func:`genericity_codims`.
 
 The submersion and tangency tests read the determinant's gradient at a point of
 the corank-1 stratum Z_1.  :func:`stratify_samples` reads corank 0 off the
-determinant and corank 1 off its gradient, ranks only the rest of its zero set,
-and adds one sample per root of the determinant on each random line: exact at a
-rational root, approximate (floats, on Z_1) at an irrational one.  A nonzero
-constant determinant has no zero, and nothing is drawn.
+determinant and corank 1 off the (n - 1)-minors, the entries of the adjugate,
+ranks only where all of those vanish too, and adds one sample per root of the
+determinant on each random line: exact at a rational root, approximate
+(floats, on Z_1) at an irrational one.  A nonzero constant determinant has no
+zero, and nothing is drawn.  The determinant and the minors come from one
+Laplace expansion, each minor computed once.
 
-The sampler works in Python integers.  The determinant and its gradient are
+The sampler works in Python integers.  The determinant and the minors are
 held once per call as integer terms over one denominator, so a sample p/q is
-tested by an integer sum, and a line restriction is built from the integer
+tested by integer sums, and a line restriction is built from the integer
 polynomials p_i + t q_i d_i, whose coefficients over one denominator give the
 floats of the bisection, bit for bit those of ``float(Fraction)``, or all
 divided by one power of two where one of those would leave float range.
+Samples and line directions are drawn from ``getrandbits`` exactly as
+``randrange`` draws them, so the points of a seed do not change.
 Rational roots of degree <= 2 (after the square-free reduction) are solved in
 closed form with ``math.isqrt``; above, the divisors of the constant term are
 tried only up to Fujiwara's root bound, so no search runs past the roots' size.
@@ -69,33 +73,41 @@ class StratumReport:
     predicted_codim: int
 
 
-def frame_determinant(frame: Frame) -> Polynomial:
-    """Determinant of the matrix whose columns are the frame fields.
+def _minors(frame: Frame) -> Callable[[tuple[int, ...], tuple[int, ...]], Polynomial]:
+    """The minors of the matrix whose columns are the frame fields, each computed once.
 
-    Computed by expansion along the rows over column subsets, each minor
-    once; exact over Q.  A single column's minor is its last-row entry; a
-    constant entry scales its minor, and the entry 1 leaves it as it is.
+    ``minor(rows, cols)`` expands along its first row, so it shares its
+    smaller minors with every other minor the same function is asked for:
+    the determinant's and all the (n - 1)-minors come from one cache.  A
+    single entry is its own minor and the empty minor is 1; a constant entry
+    scales its minor, and the entry 1 leaves it as it is.  Exact over Q.
     """
     n, constant = frame.dim, (0,) * frame.dim
 
     @functools.cache
-    def minor(cols: tuple[int, ...]) -> Polynomial:
-        """The minor on the last len(cols) rows and the columns cols; entry (i, j) is component i of field j."""
-        if len(cols) == 1:
-            return frame.fields[cols[0]].components[n - 1]
-        row = n - len(cols)
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+        """The minor on the rows and the columns cols; entry (i, j) is component i of field j."""
+        if len(cols) < 2:
+            return frame.fields[cols[0]].components[rows[0]] if cols else Polynomial.constant(n, 1)
+        row, below = rows[0], rows[1:]
         total = Polynomial.zero(n)
         for idx, col in enumerate(cols):
             entry = frame.fields[col].components[row]
             if entry.is_zero:
                 continue
-            sub = minor(cols[:idx] + cols[idx + 1 :])
+            sub = minor(below, cols[:idx] + cols[idx + 1 :])
             c = entry.terms.get(constant) if len(entry.terms) == 1 else None
             term = entry * sub if c is None else sub if c == 1 else sub * c
             total = total + term if idx % 2 == 0 else total - term
         return total
 
-    return minor(tuple(range(n)))
+    return minor
+
+
+def frame_determinant(frame: Frame) -> Polynomial:
+    """Determinant of the matrix whose columns are the frame fields, expanded by :func:`_minors`."""
+    every = tuple(range(frame.dim))
+    return _minors(frame)(every, every)
 
 
 def corank_at(frame: Frame, point: Sequence) -> int:
@@ -140,10 +152,27 @@ def tangency_check(frame: Frame, point: Sequence) -> bool:
     return all(sum(a * b for a, b in zip(grad, f._evaluate(pt))) == 0 for f in frame.fields)
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """What ``rng.randrange(n)`` returns for n > 0, given ``rng.getrandbits``, without randrange's two calls.
+
+    CPython's randrange(a, a + n) is a + _randbelow(n), which draws
+    k = n.bit_length() bits and draws again while the value is >= n; so 41
+    takes 6 bits and 8 takes 4, and the generator's state moves as it would.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _default_ratios(rng: random.Random, dim: int) -> list[tuple[int, int]]:
-    """The coordinates of a default sample as (numerator, denominator) pairs, not in lowest terms."""
-    # randint(a, b) is defined as randrange(a, b + 1): the same draws, one call fewer
-    return [(rng.randrange(-20, 21), rng.randrange(1, 9)) for _ in range(dim)]
+    """The coordinates of a default sample as (numerator, denominator) pairs, not in lowest terms.
+
+    The draws of (rng.randrange(-20, 21), rng.randrange(1, 9)) per coordinate.
+    """
+    bits = rng.getrandbits
+    return [(_below(bits, 41) - 20, _below(bits, 8) + 1) for _ in range(dim)]
 
 
 def default_sampler(rng: random.Random, dim: int) -> Point:
@@ -212,6 +241,18 @@ class _IntegerForm:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return coeffs, self.scale * math.prod(q**top for (_, q), top in zip(base, self.tops))
+
+
+def _adjugate(minor: Callable[[tuple[int, ...], tuple[int, ...]], Polynomial], n: int) -> list[_IntegerForm]:
+    """The (n - 1)-minors of the frame's matrix that are not identically zero, row by row, as integer forms.
+
+    Up to sign they are the entries of adj(M), and rank M >= n - 1 exactly
+    where adj(M) != 0 (Horn and Johnson, Matrix Analysis, 0.8): at a zero of
+    the determinant the corank is 1 exactly where one of them is nonzero.
+    """
+    every = tuple(range(n))
+    drop = [every[:i] + every[i + 1 :] for i in every]
+    return [_IntegerForm(m) for rows in drop for cols in drop if not (m := minor(rows, cols)).is_zero]
 
 
 def _primitive(coeffs: Sequence) -> list[int]:
@@ -401,10 +442,14 @@ def stratify_samples(
     are bisected in floating point and flagged approximate.  Deterministic
     for a fixed seed.
 
-    An exact zero is ranked only where the determinant's gradient vanishes too:
-    d det M = tr(adj(M) dM) (Jacobi), so a nonzero gradient gives adj(M) != 0
-    and corank 1.  A nonzero constant determinant has no zero: nothing is drawn
-    or searched, and the reports hold no hit and count the budget.
+    An exact zero is ranked only where every (n - 1)-minor vanishes too: where
+    one does not, adj(M) != 0 and the corank is 1.  The minors come from the
+    determinant's own expansion, cleared of denominators at the first zero.
+    A nonzero constant determinant has no zero: nothing is drawn or searched,
+    and the reports hold no hit and count the budget.
+
+    The default samples and the line directions are drawn by ``_below``, the
+    same bits as ``rng.randrange``, so a seed gives the same points.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -416,19 +461,17 @@ def stratify_samples(
         if sampler is not None
         else (lambda: _default_ratios(rng, n))
     )
-    det = frame_determinant(frame)
-    detp = _IntegerForm(det)
+    every = tuple(range(n))
+    minor = _minors(frame)
+    detp = _IntegerForm(minor(every, every))
     zero_free = detp.degree == 0
     hits: dict[int, list[StratumHit]] = {}
-
-    @functools.cache
-    def gradient() -> list[_IntegerForm]:
-        return [_IntegerForm(g) for g in _gradient(det)]
+    adjugate = functools.cache(lambda: _adjugate(minor, n))
 
     def add_zero(ratios: list[tuple[int, int]]) -> None:
         """Record the zero of the determinant at the ratios p_i/q_i as an exact hit."""
         pt = tuple(Fraction(p, q) for p, q in ratios)
-        r = corank_at(frame, pt) if all(g.vanishes_at(ratios) for g in gradient()) else 1
+        r = corank_at(frame, pt) if all(c.vanishes_at(ratios) for c in adjugate()) else 1
         hits.setdefault(r, []).append(StratumHit(pt, True))
 
     for _ in range(0 if zero_free else budget):
@@ -440,7 +483,8 @@ def stratify_samples(
     line_roots = 0
     for _ in range(max(4, min(24, budget // 10)) if line_search and not zero_free else 0):
         base = draw()
-        direction = [rng.randrange(-5, 6) for _ in range(n)]
+        # the draws of rng.randrange(-5, 6) per coordinate
+        direction = [_below(rng.getrandbits, 11) - 5 for _ in range(n)]
         if any(direction):
             # the determinant on base + t*direction, as integers over one denominator
             coeffs, denom = detp.on_line(base, direction)
