@@ -484,9 +484,8 @@ def test_sampler_ranks_only_on_the_zero_set(request, monkeypatch, name, line_sea
     # corank 0 is read off the determinant, and corank 1 off the (n - 1)-minors
     # wherever one is nonzero, so only the zeros of the whole adjugate among
     # the random samples on the zero set and the rational line roots are
-    # ranked: E3's one corank-2 hit; ranking every random sample would make
-    # 190 to 193 more calls, and ranking where the determinant's gradient
-    # vanishes (a squared factor such as E1's x y^2) 27/0/22/7/0/3
+    # ranked (E3's one corank-2 hit); ranking every random sample would make
+    # 190 to 193 more calls
     frame = request.getfixturevalue(name)
     counter = count_corank_calls(monkeypatch)
     reports = stratify_samples(frame, 200, seed=0, line_search=line_search)
