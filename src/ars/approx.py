@@ -79,14 +79,15 @@ def check_triangular_complete(X: VectorField, weights: Sequence[int]) -> bool:
 def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSet:
     """Choose the transform for a frame centered at the origin; read the fields off it.
 
-    Step 1 greedily selects the fields whose order -1 parts are independent
-    at the origin.  Step 2 gives every other field a transform row: its own
-    column, minus the selected fields that cancel its order -1 value at the
-    origin.  Its order -1 part is the row applied to the order -1 parts,
-    since truncation is linear, and it is kept when it is independent of the
-    fields kept so far.  Step 3 replaces each field not kept by the order-0
-    part of its row applied to the originals, which is the row applied to
-    their order-0 parts.  Each field is split by order once
+    Steps 1-2 solve each field's order -1 value at the origin against all of
+    them, greedily (:func:`~ars.linalg.solve_combination`): a field whose
+    solution is its own unit vector is selected, and every other field gets
+    a transform row, its own column minus its solution.  That row's order
+    -1 part is the row applied to the order -1 parts, since truncation is
+    linear, and it is kept when it is independent of the fields kept so
+    far.  Step 3 replaces each field not kept by the order-0 part of its row
+    applied to the originals, which is the row applied to their order-0
+    parts.  Each field is split by order once
     (:func:`~ars.grading.homogeneous_parts`).  The caller is expected to
     have verified the rank condition and the privileged-ness of the
     coordinates for these weights.  A linearly dependent outcome is reported
@@ -102,27 +103,21 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
     zero = VectorField.zero(n)
     parts = [homogeneous_parts(X, w) for X in frame.fields]
     hats = [p.get(-1, zero) for p in parts]
-    at_origin = [h.evaluate(frame.base_point) for h in hats]
+    # a field's value at the origin is its constant terms
+    constant = (0,) * n
+    at_origin = [[h.terms.get((j, constant), 0) for j in range(n)] for h in hats]
 
-    # step 1: greedily pick fields whose order -1 parts are independent at 0
-    values = SpanBasis()
-    selected = [i for i, v in enumerate(at_origin) if values.insert({j: c for j, c in enumerate(v) if c})]
-    sel_values = [at_origin[i] for i in selected]
-
-    # step 2: row i of the transform combines the originals into field i
+    # steps 1-2: row i of the transform combines the originals into field i
+    solutions = solve_combination(at_origin, at_origin)
+    selected = [i for i in range(n) if solutions[i][i]]
+    rest = [i for i in range(n) if not solutions[i][i]]
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in rest:
+        rows[i] = [r - c if c else r for r, c in zip(rows[i], solutions[i])]
     hat_fields = [hats[i] for i in selected]
     span = SpanBasis()
     for h in hat_fields:
         span.insert(h.terms)
-    rest = [i for i in range(n) if i not in selected]
-    # the other fields' nonzero values at the origin are solved in one call, or in none
-    moved = [i for i in rest if any(at_origin[i])]
-    for i, coeffs in zip(moved, solve_combination(sel_values, [at_origin[i] for i in moved]) if moved else []):
-        if coeffs is None:
-            raise ArsError("selected fields do not span a remaining value at the origin")
-        for s, c in zip(selected, coeffs):
-            rows[i][s] -= c
     kept: list[int] = []
     dropped: list[int] = []
     for i in rest:

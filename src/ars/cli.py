@@ -13,7 +13,8 @@ approximation (the report is still written), 6 a bracket exceeded the
 degree cap ARS_MAX_DEGREE.  Exits 3 to 6 come only from stages a command
 runs, so locus exits 0 or 2.  Every exit 2, 3, 4 and 6 prints one
 ``label: message`` line on stderr and writes a JSON diagnostic, to stdout
-when the --json path cannot be written.
+when the --json path cannot be written, except a flag value that argparse
+rejects (--point a,b, --weights x): its usage text and exit 2, no JSON.
 """
 
 from __future__ import annotations
@@ -95,12 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _write_json(payload: dict, path: str | None) -> None:
+def _write_json(payload: dict, path: str | None) -> int:
+    """Write payload to path or stdout and return EXIT_OK, or _fail's code when path cannot be written."""
     text = json_text(payload)
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
+    if not path:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _fail("usage error", EXIT_USAGE, exc, None)
+    return EXIT_OK
 
 
 # analyze's failures: (stderr label, exit code)
@@ -121,10 +127,8 @@ def _fail(label: str, code: int, exc: Exception, json_out: str | None) -> int:
     report = getattr(exc, "report", None)
     if report is not None:
         payload["partial"] = report.to_json_dict()
-    try:
-        _write_json(payload, json_out)
-    except OSError as unwritable:
-        return _fail("usage error", EXIT_USAGE, unwritable, None)
+    if unwritable := _write_json(payload, json_out):
+        return unwritable
     print(f"{label}: {exc}", file=sys.stderr)
     return code
 
@@ -166,10 +170,8 @@ def _run_analysis(args, command: str) -> int:
     except tuple(_ANALYZE_FAILURES) as exc:
         return _fail(*_ANALYZE_FAILURES[type(exc)], exc, args.json_out)
 
-    try:
-        _write_json(report.to_json_dict(), args.json_out)
-    except OSError as exc:
-        return _fail("usage error", EXIT_USAGE, exc, None)
+    if unwritable := _write_json(report.to_json_dict(), args.json_out):
+        return unwritable
     if args.json_out:
         _print_summary(report, command)
     if report.approximation is not None and report.approximation.degenerate:
@@ -201,11 +203,7 @@ def main(argv: list[str] | None = None) -> int:
             table = genericity_codims(args.n)
         except ValueError as exc:
             return _fail("usage error", EXIT_USAGE, exc, args.json_out)
-        try:
-            _write_json(table, args.json_out)
-        except OSError as exc:
-            return _fail("usage error", EXIT_USAGE, exc, None)
-        return EXIT_OK
+        return _write_json(table, args.json_out)
     return _run_analysis(args, args.command)
 
 

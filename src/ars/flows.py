@@ -32,7 +32,6 @@ class NonTriangularField(ArsError):
 @dataclass(frozen=True)
 class FlowResult:
     endpoint: tuple
-    method: str
     blowup: bool
     truncation_order: int | None = None
     step_count: int | None = None
@@ -99,7 +98,7 @@ def lie_series_flow_result(
         t_power = t_power * tt / s
         endpoint = [total + t_power * v for total, v in zip(endpoint, g._evaluate(pt))]
         g, s = vf_apply(X, g), s + 1
-    return FlowResult(tuple(endpoint), "lie_series", False, truncation_order=None if g.is_zero else cutoff)
+    return FlowResult(tuple(endpoint), False, truncation_order=None if g.is_zero else cutoff)
 
 
 def rk4_flow(
@@ -113,31 +112,14 @@ def rk4_flow(
 
     Blowup is data, not an error: the flag is set as soon as any coordinate
     leaves ``blowup_threshold``, stops being finite or overflows, and
-    integration halts at the last finite state.  The float operations are
-    those of ``Polynomial.evaluate_float`` in the same order: terms summed
-    onto 0.0, each term ``c * x_i ** k_i * ...`` over the nonzero exponents.
+    integration halts at the last finite state.  The field is evaluated by
+    :meth:`~ars.symcore.VectorField.evaluate_float`.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     state = tuple(float(x) for x in point)
     if len(state) != X.dim:
         raise ValueError("dimension mismatch")
-    comps = [
-        [(float(c), [(i, k) for i, k in enumerate(e) if k]) for e, c in comp.terms.items()]
-        for comp in X.components
-    ]
-
-    def field_at(x):
-        out = []
-        for terms in comps:
-            total = 0.0
-            for val, powers in terms:
-                for i, k in powers:
-                    val *= x[i] ** k
-                total += val
-            out.append(total)
-        return out
-
     h = float(t) / steps
     h2, h6 = h / 2, h / 6
     # |v| <= limit holds exactly when v is finite and |v| <= blowup_threshold
@@ -145,10 +127,10 @@ def rk4_flow(
     blowup = False
     try:
         for _ in range(steps):
-            k1 = field_at(state)
-            k2 = field_at([x + h2 * k for x, k in zip(state, k1)])
-            k3 = field_at([x + h2 * k for x, k in zip(state, k2)])
-            k4 = field_at([x + h * k for x, k in zip(state, k3)])
+            k1 = X.evaluate_float(state)
+            k2 = X.evaluate_float([x + h2 * k for x, k in zip(state, k1)])
+            k3 = X.evaluate_float([x + h2 * k for x, k in zip(state, k2)])
+            k4 = X.evaluate_float([x + h * k for x, k in zip(state, k3)])
             candidate = tuple(
                 x + h6 * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(state, k1, k2, k3, k4)
             )
@@ -158,7 +140,7 @@ def rk4_flow(
             state = candidate
     except OverflowError:
         blowup = True
-    return FlowResult(state, "rk4", blowup, step_count=steps)
+    return FlowResult(state, blowup, step_count=steps)
 
 
 def completeness_probe(

@@ -73,14 +73,16 @@ class StratumReport:
     predicted_codim: int
 
 
+@functools.lru_cache(maxsize=1)
 def _minors(frame: Frame) -> Callable[[tuple[int, ...], tuple[int, ...]], Polynomial]:
     """The minors of the matrix whose columns are the frame fields, each computed once.
 
-    ``minor(rows, cols)`` expands along its first row, so it shares its
-    smaller minors with every other minor the same function is asked for:
-    the determinant's and all the (n - 1)-minors come from one cache.  A
-    single entry is its own minor and the empty minor is 1; a constant entry
-    scales its minor, and the entry 1 leaves it as it is.  Exact over Q.
+    ``minor(rows, cols)`` expands along its first row and takes its smaller
+    minors from ``_minors(frame)``: the determinant and all the (n - 1)-minors
+    share one cache, kept for the last frame (the sampler reuses the locus
+    stage's) and freed with no reference cycle once dropped.  A single entry
+    is its own minor and the empty minor is 1; a constant entry scales its
+    minor, and the entry 1 leaves it as it is.  Exact over Q.
     """
     n, constant = frame.dim, (0,) * frame.dim
 
@@ -95,7 +97,7 @@ def _minors(frame: Frame) -> Callable[[tuple[int, ...], tuple[int, ...]], Polyno
             entry = frame.fields[col].components[row]
             if entry.is_zero:
                 continue
-            sub = minor(below, cols[:idx] + cols[idx + 1 :])
+            sub = _minors(frame)(below, cols[:idx] + cols[idx + 1 :])
             c = entry.terms.get(constant) if len(entry.terms) == 1 else None
             term = entry * sub if c is None else sub if c == 1 else sub * c
             total = total + term if idx % 2 == 0 else total - term

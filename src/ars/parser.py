@@ -165,10 +165,9 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
     coef: int | Fraction | None = None
     exps = [0] * n
     has_factor = False
-    started = False
 
     def flush(var: str, tcol: int) -> None:
-        nonlocal sign, coef, exps, has_factor, started
+        nonlocal sign, coef, exps, has_factor
         if var not in index:
             raise ParseError(f"undeclared variable {var!r}", lineno, tcol)
         key = (index[var], tuple(exps))
@@ -177,15 +176,13 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
         coef = None
         exps = [0] * n
         has_factor = False
-        started = False
 
     for tok, tcol in _split_signs(tokens):
         if tok in ("+", "-"):
-            if started:
+            if coef is not None or has_factor:
                 raise ParseError("unexpected sign inside a term", lineno, tcol)
             if tok == "-":
                 sign = -sign
-            started = False
             continue
         deriv = _DERIVATIVE.match(tok)
         if deriv:
@@ -195,7 +192,6 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
             if coef is not None or has_factor:
                 raise ParseError("coefficient must come first in a term", lineno, tcol)
             coef = as_coefficient(_rational(tok, lineno, tcol))
-            started = True
             continue
         mono = _MONOMIAL.match(tok)
         if mono:
@@ -205,7 +201,6 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
             power = int(mono.group(3)) if mono.group(3) else 1
             exps[index[name]] += power
             has_factor = True
-            started = True
             continue
         if re.match(r"^[+-]?\d*\.\d+$", tok):
             raise ParseError(
@@ -213,7 +208,7 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
             )
         raise ParseError(f"unexpected token {tok!r}", lineno, tcol)
 
-    if started or coef is not None or has_factor:
+    if coef is not None or has_factor:
         raise ParseError("dangling term without a derivative", lineno, 1)
     return VectorField.from_terms(n, {key: c for key, c in terms.items() if c})
 

@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ars.approx import build_approximation, check_triangular_complete
 from ars.grading import growth_vector, homogeneous_parts
 from ars.linalg import det
+from ars.parser import parse_frame
 from ars.symcore import ArsError, Frame, Polynomial, VectorField, frame_rank_at
 
-from oracles import random_rational_point
+from oracles import dense_rank, random_rational_point
+from test_locus import small_frame
 
 
 def var(dim, j):
@@ -206,6 +209,51 @@ def test_step2_adjustment_recorded(affine_frame):
     assert A.hat_fields[1] == only_component(2, 1, var(2, 0))
     assert A.transform[1] == (Fraction(-1), Fraction(1))
     assert A.adjusted_flags() == (False, True)
+
+
+@pytest.mark.parametrize(
+    ("text", "weights", "k", "m", "source_order", "transform"),
+    [
+        # X3's value at the origin is 1/2 X1 + 1/2 X2, both selected
+        ("vars x y z\nfield X1 = d/dx + d/dy\nfield X2 = d/dx - d/dy\nfield X3 = d/dx + x d/dz\n", (1, 1, 2),
+         2, 3, (0, 1, 2), ((1, 0, 0), (0, 1, 0), (Fraction(-1, 2), Fraction(-1, 2), 1))),
+        # X2 and X3 vanish at the origin: their rows are their own columns
+        ("vars x y z\nfield X1 = d/dx\nfield X2 = x d/dy\nfield X3 = y^2 d/dz\n", (1, 2, 5),
+         1, 3, (0, 1, 2), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        # the affine fixture: X2's value is X1's, and X2 - X1 = x d/dy is kept
+        ("vars x y\nfield X1 = d/dx\nfield X2 = d/dx + x d/dy\n", (1, 2),
+         1, 2, (0, 1), ((1, 0), (-1, 1))),
+    ],
+    ids=["fraction_combination", "zero_at_origin", "affine"],
+)
+def test_transform_pins(text, weights, k, m, source_order, transform):
+    A = build_approximation(parse_frame(text).to_frame(), weights)
+    assert (A.k, A.m, A.source_order, A.transform) == (k, m, source_order, transform)
+    # a field's own column stays the int 1; an entry that cancels a value is a Fraction
+    assert [[type(c) for c in row if c] for row in A.transform] == [
+        [int if c == 1 and j == source_order[i] else Fraction for j, c in enumerate(row) if c]
+        for i, row in enumerate(transform)
+    ]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_frame(), st.tuples(*[st.integers(1, 3)] * 3))
+def test_selection_is_the_dense_greedy_one(frame, weights):
+    # any positive weights: the elimination is the same whatever the orders are
+    n, w = frame.dim, weights[: frame.dim]
+    A = build_approximation(frame, w)
+    values = [part(X, -1, w).evaluate(frame.base_point) for X in frame.fields]
+    chosen: list[int] = []
+    for i, v in enumerate(values):
+        if dense_rank([values[j] for j in chosen] + [v]) > len(chosen):
+            chosen.append(i)
+    assert (A.k, A.source_order[: A.k]) == (len(chosen), tuple(chosen))
+    for pos, (i, row) in enumerate(zip(A.source_order, A.transform)):
+        assert row[i] == 1 and type(row[i]) is int
+        # a selected row is its unit vector; any other row cancels its value with the selected fields
+        assert all(c == 0 for j, c in enumerate(row) if j != i and (pos < A.k or j not in chosen))
+        if pos >= A.k:
+            assert all(sum(c * v[r] for c, v in zip(row, values)) == 0 for r in range(n))
 
 
 def test_degenerate_set_is_flagged(degenerate_frame):

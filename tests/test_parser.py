@@ -131,6 +131,32 @@ def test_dangling_term():
         parse_frame("vars x\nfield X1 = 2 x\n")
 
 
+# a term has started once it has a coefficient or a factor: a sign or a
+# coefficient may not follow, and a derivative must end it
+@pytest.mark.parametrize(
+    ("expression", "message", "column"),
+    [
+        ("2 - x d/dy", "unexpected sign inside a term", 13),
+        ("x - d/dy", "unexpected sign inside a term", 13),
+        ("x 2 d/dy", "coefficient must come first in a term", 13),
+        ("2 3 d/dy", "coefficient must come first in a term", 13),
+        ("d/dx + 2", "dangling term without a derivative", 1),
+        ("d/dx + x", "dangling term without a derivative", 1),
+    ],
+    ids=["sign_after_coefficient", "sign_after_factor", "coefficient_after_factor",
+         "coefficient_after_coefficient", "dangling_coefficient", "dangling_factor"],
+)
+def test_term_state_errors(expression, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_frame(f"vars x y\nfield A = d/dx\nfield B = {expression}\n")
+    assert (str(err.value), err.value.line, err.value.column) == (f"line 3, column {column}: {message}", 3, column)
+
+
+def test_signs_before_a_term_compose():
+    doc = parse_frame("vars x y\nfield A = d/dx\nfield B = - - x d/dy\n")
+    assert doc.fields[1] == only_component(2, 1, var(2, 0))
+
+
 def test_zero_field_round_trip():
     doc = parse_frame("vars x\nfield X1 = 0\n")
     assert doc.fields[0].is_zero

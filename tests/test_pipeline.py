@@ -443,6 +443,29 @@ def test_cli_usage_error_writes_diagnostic(tmp_path, capsys, monkeypatch, argv, 
     assert diagnostic["error"]["message"] == captured.err.removeprefix("usage error: ").rstrip("\n")
 
 
+class _BrokenStdout:
+    def write(self, text):
+        raise BrokenPipeError("stdout is closed")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "e1.frame"], ["analyze", "missing.frame"], ["analyze", "e1.frame", "--json", "missing/diag.json"],
+     ["codims", "3"], ["codims", "1"]],
+    ids=["report", "usage_error", "unwritable_json", "codims", "codims_below_2"],
+)
+def test_cli_stdout_error_propagates(tmp_path, monkeypatch, argv):
+    # only an unwritable --json path falls back to stdout; stdout itself has no fallback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e1.frame").write_text(E1_TEXT)
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    with pytest.raises(BrokenPipeError, match="stdout is closed"):
+        main(argv)
+
+
 @pytest.mark.parametrize(
     ("text", "max_degree", "message"),
     [
