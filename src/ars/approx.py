@@ -115,9 +115,7 @@ def build_approximation(frame: Frame, weights: Sequence[int]) -> ApproximationSe
     for i in rest:
         rows[i] = [r - c if c else r for r, c in zip(rows[i], solutions[i])]
     hat_fields = [hats[i] for i in selected]
-    span = SpanBasis()
-    for h in hat_fields:
-        span.insert(h.terms)
+    span = SpanBasis(h.terms for h in hat_fields)
     kept: list[int] = []
     dropped: list[int] = []
     for i in rest:

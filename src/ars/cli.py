@@ -148,7 +148,7 @@ def _check_usage(options: AnalyzeOptions, dim: int) -> None:
 
 def _run_analysis(args, command: str) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         return _fail("usage error", EXIT_USAGE, exc, args.json_out)
     try:

@@ -151,9 +151,7 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int):
     def value(f: VectorField) -> dict:
         return {i: c for i, c in enumerate(f._evaluate(point)) if c != 0}
 
-    values = SpanBasis()
-    for f in frame.fields:
-        values.insert(value(f))
+    values = SpanBasis(map(value, frame.fields))
     dims = [values.dim]
     if values.dim == n:
         return dims, 1, None

@@ -8,7 +8,8 @@ tabulates L; pairs come from an index that yields only those that may
 bracket nonzero (:func:`_overlapping_pairs`).  G and L_0 are spans of L's
 coordinate rows, tabulated off L's table (:meth:`LieBasis.subalgebra`);
 all else runs exactly on sparse coordinate vectors {basis index: c} with
-the table's nonzero entries.  L is generated by elements of orders -1 and 0,
+the table's nonzero entries, and ad(w) on the basis has one reader,
+:meth:`LieBasis._ad`.  L is generated by elements of orders -1 and 0,
 so it is graded with orders <= 0 (:meth:`LieBasis.orders`): L_{<0} is a
 nilpotent ideal with quotient L_0, and L is solvable exactly when L_0 is, so
 the derived series runs on L_0 only.
@@ -112,7 +113,7 @@ class LieBasis:
         coords, leads = span.rows(), {k: p for p, k in enumerate(span.leading_keys())}
         basis = [linear_combination(((c, self.basis[k]) for k, c in r.items()), self.dim) for r in coords]
         entries = ((p, q, {leads[k]: c for k, c in w.items() if k in leads}) for p, q, w in self._pair_brackets(coords))
-        return LieBasis(self.dim, basis, _antisymmetric(len(basis), entries), SpanBasis(b.terms for b in basis))
+        return LieBasis(self.dim, basis, _antisymmetric(len(basis), entries), SpanBasis.from_reduced(b.terms for b in basis))
 
     def _coords(self, X: VectorField) -> dict:
         """Sparse coordinate vector of X; ValueError when X is outside the algebra."""
@@ -128,6 +129,12 @@ class LieBasis:
             (k, a * b * c)
             for i, a in u.items() for j, b in v.items() if j in table[i] for k, c in table[i][j].items()
         )
+
+    def _ad(self, w: dict, skip: Iterable = ()) -> Iterable[dict]:
+        """[w, b_v] for each v, ascending, that w's table rows reach and ``skip`` does not hold."""
+        table = self._table
+        for v in sorted({v for i in w for v in table[i]}.difference(skip)):
+            yield _accumulate((k, a * c) for i, a in w.items() if v in table[i] for k, c in table[i][v].items())
 
     def _pair_brackets(self, rows: Sequence[dict], others: Sequence[dict] | None = None) -> Iterable[tuple]:
         """(p, q, [u_p, v_q]) for the pairs of coordinate vectors whose bracket may be nonzero.
@@ -191,20 +198,14 @@ def ideal_closure(L: LieBasis, generators: Sequence[VectorField]) -> LieBasis:
 
     It is the smallest subspace of L's coordinates that holds the generators
     and is invariant under every ad(b_i): each layer of vectors that grew the
-    span adds their brackets with the basis.  :meth:`LieBasis.subalgebra` tabulates it.
+    span adds their brackets with the basis (:meth:`LieBasis._ad`).
+    :meth:`LieBasis.subalgebra` tabulates it.
     """
-    coords, units = SpanBasis(), [{i: 1} for i in range(len(L))]
+    coords = SpanBasis()
     grew = [v for v in map(L._coords, generators) if coords.insert(v)]
     while grew:
-        grew = [w for _, _, w in L._pair_brackets(grew, units) if w and coords.insert(w)]
+        grew = [w for v in grew for w in L._ad(v) if w and coords.insert(w)]
     return L.subalgebra(coords)
-
-
-def _span(vectors: Iterable[dict]) -> SpanBasis:
-    span = SpanBasis()
-    for v in vectors:
-        span.insert(v)
-    return span
 
 
 def _antisymmetric(size: int, entries: Iterable[tuple]) -> list[dict]:
@@ -234,23 +235,7 @@ def _overlapping_pairs(left: Sequence[Iterable], right: Sequence[Iterable], uppe
 
 def _derived(L: LieBasis) -> SpanBasis:
     """[L, L]: the span of the table's nonzero entries."""
-    return _span(entry for i, row in enumerate(L._table) for j, entry in row.items() if i < j)
-
-
-def _series(L: LieBasis) -> int | None:
-    """Bracketings until the derived series vanishes; None when it stalls.
-
-    Runs on L's structure constants: the terms are coordinate subspaces,
-    and the next term [D, D] is spanned by the brackets of pairs of D's rows.
-    """
-    size, step, span = len(L), 0, _derived(L)
-    while size:
-        # the series is decreasing, so an equal dimension means it stalled
-        if span.dim == size:
-            return None
-        current, step = span.rows(), step + 1
-        size, span = len(current), _span(w for _, _, w in L._pair_brackets(current))
-    return step
+    return SpanBasis(entry for i, row in enumerate(L._table) for j, entry in row.items() if i < j)
 
 
 def nilpotent_step(L: LieBasis) -> int | None:
@@ -269,23 +254,31 @@ def nilpotent_step(L: LieBasis) -> int | None:
     table, leads = L._table, set(derived.leading_keys())
     # W_2 = [V, V] is spanned by table entries, and is D when no entry involves a leading key
     direct = not any(table[d] for d in leads)
-    step, parts, current = 1, [], (derived if direct else _span(
+    step, parts, current = 1, [], (derived if direct else SpanBasis(
         table[u][v] for u in range(size) if u not in leads for v in table[u] if u < v and v not in leads)).rows()
     while current and step < size:
         step, parts = step + 1, parts + current
-        # [w, b_v] = sum_i w_i [b_i, b_v], for the v in V that w's table rows reach
-        current = _span(
-            _accumulate((k, a * c) for i, a in w.items() if v in table[i] for k, c in table[i][v].items())
-            for w in current for v in {v for i in w for v in table[i] if v not in leads}
-        ).rows()
+        # [w, b_v] for the v in V that w's table rows reach
+        current = SpanBasis(b for w in current for b in L._ad(w, leads)).rows()
     # the W_j with j >= 2 lie in D, and rows with distinct leading keys are independent
-    spans = not current and (direct or len({max(w) for w in parts}) == derived.dim or _span(parts).dim == derived.dim)
+    spans = not current and (direct or len({max(w) for w in parts}) == derived.dim or SpanBasis(parts).dim == derived.dim)
     return step if spans else None
 
 
 def is_solvable(L: LieBasis) -> bool:
-    """True iff the derived series reaches zero."""
-    return _series(L) is not None
+    """True iff the derived series reaches zero.
+
+    Runs on L's structure constants: the terms are coordinate subspaces,
+    and the next term [D, D] is spanned by the brackets of pairs of D's rows.
+    """
+    size, span = len(L), _derived(L)
+    while size:
+        # the series is decreasing, so an equal dimension means it stalled
+        if span.dim == size:
+            return False
+        current = span.rows()
+        size, span = len(current), SpanBasis(w for _, _, w in L._pair_brackets(current))
+    return True
 
 
 def adjoint_matrix(X: VectorField, G: LieBasis) -> tuple[tuple[Fraction, ...], ...]:
@@ -312,7 +305,7 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
         raise DegenerateApproximation("cannot classify a degenerate approximating set")
     k, m, n, fields, adjusted = A.k, A.m, A.dim, A.fields, A.adjusted_flags()
     # G's basis is canonical, so its L-coordinates are canonical rows
-    ideal, coords = SpanBasis(L._coords(b) for b in G.basis), {pos: L._coords(fields[pos]) for pos in range(k, n)}
+    ideal, coords = SpanBasis.from_reduced(L._coords(b) for b in G.basis), {pos: L._coords(fields[pos]) for pos in range(k, n)}
     in_ideal = [pos for pos in range(k, m) if ideal.contains(coords[pos])]
     outside = [pos for pos in range(k, m) if pos not in in_ideal]
     order = list(range(k)) + in_ideal + outside + list(range(m, n))
@@ -328,7 +321,7 @@ def classify_fields(A: ApproximationSet, L: LieBasis, G: LieBasis) -> Classifica
 
     # the fields have orders -1 and 0, so L_{<0} is a nilpotent ideal and
     # L / L_{<0} is L_0: L is solvable exactly when L_0 is
-    L0 = L.subalgebra(SpanBasis({i: 1} for i, s in enumerate(L.orders(A.weights)) if s == 0))
+    L0 = L.subalgebra(SpanBasis.from_reduced({i: 1} for i, s in enumerate(L.orders(A.weights)) if s == 0))
     return Classification(
         labels=tuple(labels), k=k, l=l, m=m, lie_dim=len(L.basis), ideal_dim=len(G.basis),
         ideal_nilpotent_step=nilpotent_step(G), solvable=is_solvable(L0), order=tuple(order),
@@ -351,8 +344,8 @@ def graded_frame(G: LieBasis, weights: Sequence[int]) -> tuple[VectorField, ...]
     w = check_weights(weights, G.dim)
     n = G.dim
     G.orders(w)  # raises GradedFrameUnavailable unless the basis is homogeneous
-    origin = (Fraction(0),) * n
-    values = [b.evaluate(origin) for b in G.basis]
+    constant = (0,) * n  # a field's value at the origin is its constant terms
+    values = [[b.terms.get((j, constant), 0) for j in range(n)] for b in G.basis]
     hits = [i for i, v in enumerate(values) if any(v)]
     units = [[int(i == j) for i in range(n)] for j in range(n)]
     solutions = solve_combination([values[i] for i in hits], units)

@@ -9,7 +9,8 @@ subject to rounding; the one division, by a pivot, is the exact
 keyed by comparable keys (a monomial of one component for vector fields, an
 index for coordinate vectors), and gives coordinates in its basis sparse,
 {row index: c}, through a leading key -> row index map built once per basis.
-The dense routines take sequences of rows and run on it.
+``SpanBasis(vectors)`` inserts the vectors in order, and only canonical rows
+skip that (:meth:`SpanBasis.from_reduced`); the dense routines run on it.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ def _row_vec(row: Iterable[Fraction], tag: int | None = None) -> dict:
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     """Rank of a matrix given as an iterable of rows."""
-    span = SpanBasis()
-    for row in rows:
-        span.insert(_row_vec(row))
-    return span.dim
+    return SpanBasis(map(_row_vec, rows)).dim
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -74,11 +72,7 @@ def solve_combination(
     led by its own tag, and the remainder of a target carries minus the
     coefficients of the independent vectors on their tags.
     """
-    span = SpanBasis()
-    for a, vec in enumerate(vectors):
-        tagged = _row_vec(vec, tag=1)
-        tagged[(0, a)] = 1
-        span.insert(tagged)
+    span = SpanBasis({**_row_vec(vec, tag=1), (0, a): 1} for a, vec in enumerate(vectors))
     zero = Fraction(0)  # one object for every coefficient a solution leaves out
     rests = [span.reduce(_row_vec(target, tag=1)) for target in targets]
     return [
@@ -98,10 +92,18 @@ class SpanBasis:
     span, and membership coordinates are read off directly.
     """
 
-    def __init__(self, reduced: Iterable[dict] = ()) -> None:
-        # rows that already are a fully reduced basis, each with pivot 1, are taken as they are
-        self._rows: dict[Hashable, dict] = {max(r): dict(r) for r in reduced}
+    def __init__(self, vectors: Iterable[dict] = ()) -> None:
+        self._rows: dict[Hashable, dict] = {}
         self._index: dict[Hashable, int] | None = None
+        for v in vectors:
+            self.insert(v)
+
+    @classmethod
+    def from_reduced(cls, rows: Iterable[dict]) -> "SpanBasis":
+        """The span of rows that already are a fully reduced basis, each with pivot 1, taken as they are."""
+        span = cls()
+        span._rows = {max(r): dict(r) for r in rows}
+        return span
 
     @property
     def dim(self) -> int:
@@ -127,13 +129,13 @@ class SpanBasis:
     def reduce(self, vec: dict) -> dict:
         """Remainder of vec after subtracting its span component.
 
-        Rows are fully reduced, so subtracting one never brings in another
-        row's leading key: each leading key present in vec is cleared once,
-        highest first.  vec is copied, not coerced: its values must already
-        be nonzero ints or Fractions.
+        Rows are fully reduced, so a row holds no other row's leading key and
+        subtracting it leaves vec's other leading coefficients as they were:
+        each leading key present in vec is cleared once, in any order.  vec
+        is copied, not coerced: its values must be nonzero ints or Fractions.
         """
         v = dict(vec)
-        for lead in sorted((k for k in v if k in self._rows), reverse=True):
+        for lead in [k for k in v if k in self._rows]:
             self._subtract(v, v[lead], self._rows[lead])
         return v
 

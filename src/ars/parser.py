@@ -64,6 +64,7 @@ def parse_frame(text: str) -> FrameDocument:
     fields: list[VectorField] = []
     weights: list[int] | None = None
     base_point: list[Fraction] | None = None
+    weights_at = point_at = (1, 1)  # line and column of the weights and point directives
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -99,7 +100,7 @@ def parse_frame(text: str) -> FrameDocument:
         elif head == "weights":
             if weights is not None:
                 raise ParseError("duplicate weights line", lineno, col)
-            weights = []
+            weights, weights_at = [], (lineno, col)
             for tok, tcol in tokens[1:]:
                 # isdecimal, not isdigit: int() refuses digits such as '²'
                 if not tok.isdecimal() or int(tok) < 1:
@@ -108,7 +109,7 @@ def parse_frame(text: str) -> FrameDocument:
         elif head == "point":
             if base_point is not None:
                 raise ParseError("duplicate point line", lineno, col)
-            base_point = []
+            base_point, point_at = [], (lineno, col)
             for tok, tcol in tokens[1:]:
                 if not _RATIONAL.match(tok):
                     raise ParseError(f"point entries must be rationals, got {tok!r}", lineno, tcol)
@@ -124,9 +125,9 @@ def parse_frame(text: str) -> FrameDocument:
             f"field count {len(fields)} does not match variable count {n}", 1, 1
         )
     if weights is not None and len(weights) != n:
-        raise ParseError(f"weights line must list {n} entries", 1, 1)
+        raise ParseError(f"weights line must list {n} entries", *weights_at)
     if base_point is not None and len(base_point) != n:
-        raise ParseError(f"point line must list {n} entries", 1, 1)
+        raise ParseError(f"point line must list {n} entries", *point_at)
     return FrameDocument(
         var_names=tuple(var_names),
         field_names=tuple(field_names),

@@ -184,6 +184,17 @@ def dense_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def highest_first_reduce(rows: list[dict], vec: dict) -> dict:
+    """Remainder of vec against fully reduced rows with pivot 1, clearing leading keys highest first."""
+    v = dict(vec)
+    for row in sorted(rows, key=max, reverse=True):
+        c = v.get(max(row), 0)
+        if c:
+            v = {k: v.get(k, 0) - c * row.get(k, 0) for k in set(v) | set(row)}
+            v = {k: x for k, x in v.items() if x != 0}
+    return v
+
+
 def fields_rank(fields: list[VectorField]) -> int:
     if not fields:
         return 0

@@ -13,7 +13,6 @@ from ars.liealg import (
     GradedFrameUnavailable,
     LieBasis,
     NotInvariant,
-    _span,
     adjoint_matrix,
     classify_fields,
     graded_frame,
@@ -675,7 +674,7 @@ def test_l_coordinates_of_a_canonical_basis_are_canonical_rows(e1_frame, e2_fram
         cases.append((L, lie_closure([VectorField.coordinate(frame.dim, j) for j in range(gens)])))
     for L, G in cases:
         rows = [L._coords(b) for b in G.basis]
-        assert rows == _span(rows).rows()
+        assert rows == SpanBasis(rows).rows()
     assert len(cases) >= 38
 
 

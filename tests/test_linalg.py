@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ars.linalg import SpanBasis, det, rank, solve_combination
 
-from oracles import dense_rank, leibniz_det
+from oracles import dense_rank, highest_first_reduce, leibniz_det
 
 entries = st.one_of(
     st.just(Fraction(0)),
@@ -152,3 +152,49 @@ def test_coordinates_follow_inserts(rows):
                 for k, x in basis[i].items():
                     combo[k] = combo.get(k, 0) + c * x
             assert {k: x for k, x in combo.items() if x != 0} == u
+
+
+# sparse vectors keyed by 0..5 with int and Fraction entries; zero vectors and
+# repeated combinations of earlier vectors make dependent inserts
+sparse_entries = st.one_of(
+    st.integers(-4, 4).filter(bool), st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+)
+
+
+@st.composite
+def sparse_vectors(draw, max_size: int = 7):
+    vecs: list[dict] = []
+    for _ in range(draw(st.integers(0, max_size))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"])) if vecs else "free"
+        if kind == "zero":
+            vecs.append({})
+        elif kind == "combination":
+            combo: dict = {}
+            for v in draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=3)):
+                c = draw(sparse_entries)
+                for k, x in v.items():
+                    combo[k] = combo.get(k, 0) + c * x
+            vecs.append({k: x for k, x in combo.items() if x != 0})
+        else:
+            vecs.append(draw(st.dictionaries(st.integers(0, 5), sparse_entries, max_size=4)))
+    return vecs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(sparse_vectors(), sparse_vectors())
+def test_span_basis_contract(vecs, probes):
+    # SpanBasis(vectors) is one insert per vector, in order
+    one_by_one = SpanBasis()
+    for v in vecs:
+        one_by_one.insert(v)
+    span = SpanBasis(vecs)
+    assert span == one_by_one and span.rows() == one_by_one.rows()
+    # canonical rows are taken as they are
+    assert SpanBasis.from_reduced(span.rows()) == span
+    assert SpanBasis.from_reduced(span.rows()).rows() == span.rows()
+    # reduce clears leading keys in any order and agrees with highest first
+    leads = set(span.leading_keys())
+    for v in vecs + probes:
+        rest = span.reduce(v)
+        assert rest == highest_first_reduce(span.rows(), v)
+        assert not leads & set(rest)

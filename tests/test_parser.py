@@ -103,8 +103,14 @@ def test_bad_rational_literal():
          "weights must be positive integers, got '\u00b2'", (4, 11)),
         ("vars x y\nfield A = d/dx\nfield B = x d/dy\npoint 0 1/0\n", "zero denominator in '1/0'", (4, 9)),
         ("vars x y\nfield A = 1/0 d/dx\nfield B = x d/dy\n", "zero denominator in '1/0'", (2, 11)),
+        # a weights or point line of the wrong length is reported at its directive
+        ("vars x y\nfield A = d/dx\nfield B = x d/dy\n  weights 1\n", "weights line must list 2 entries", (4, 3)),
+        ("point 0 0 0\nvars x y\nfield A = d/dx\nfield B = x d/dy\n", "point line must list 2 entries", (1, 1)),
+        ("vars x y\nfield A = d/dx\nfield B = x d/dy\n# base point\n point 1/2\n",
+         "point line must list 2 entries", (5, 2)),
     ],
-    ids=["superscript_weight", "point_zero_denominator", "coefficient_zero_denominator"],
+    ids=["superscript_weight", "point_zero_denominator", "coefficient_zero_denominator",
+         "weights_count", "point_count_first_line", "point_count"],
 )
 def test_literals_that_int_or_fraction_refuse_are_parse_errors(text, message, position):
     # each once escaped the parser as a ValueError or a ZeroDivisionError

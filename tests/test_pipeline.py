@@ -371,6 +371,21 @@ def test_cli_stratify_with_a_coefficient_beyond_float_range(tmp_path, capsys):
     assert report["weights"] == [1, 2] and report["stratification"][0]["r"] == 1
 
 
+def test_cli_reads_a_frame_file_with_a_byte_order_mark(tmp_path, capsys):
+    # editors on some systems save UTF-8 with a leading BOM; the report must not see it
+    plain, marked, out = tmp_path / "e1.frame", tmp_path / "e1-bom.frame", tmp_path / "report.json"
+    plain.write_text(E1_TEXT, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + E1_TEXT.encode("utf-8"))
+    assert main(["analyze", str(plain), "--json", str(out)]) == 0
+    expected = out.read_bytes()
+    assert main(["analyze", str(marked), "--json", str(out)]) == 0
+    assert out.read_bytes() == expected
+    # a BOM does not make bytes that are not UTF-8 readable
+    marked.write_bytes(b"\xef\xbb\xbfvars x\xe9\n")
+    assert main(["analyze", str(marked)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_cli_exit_code_parse_error(tmp_path, capsys):
     src = _write(tmp_path, "bad.frame", "vars x\nfield X1 = d/dy\n")
     assert main(["analyze", src]) == 2
