@@ -4,9 +4,10 @@ Weights are positive integers attached to the coordinates; the weighted
 degree of a monomial x^a is sum(a_j * w_j), and the term x^a d/dx_j has
 order sum(a_j * w_j) - w_j.  :func:`homogeneous_parts` splits a field by
 that order, and every question about orders reads the split: a field's
-(nonholonomic) order is its least key.  Candidate weights at a point are
-read off the bracket flag of the frame and matched to coordinates through
-the orders of the coordinate functions.
+(nonholonomic) order is its least key.  Candidate weights at the frame's
+``base_point`` are read off its bracket flag and matched to coordinates
+through the orders of the coordinate functions; :func:`ars.pipeline.stages`
+alone decides whether those orders equal the weights (privileged coordinates).
 
 :func:`bracket_rounds` is the one breadth-first bracket walk of the
 package, and one walk serves both the flag and the Lie algebra: the flag
@@ -30,11 +31,9 @@ from .linalg import SpanBasis
 from .symcore import (
     ArsError,
     Frame,
-    Point,
     VectorField,
     _values,
     as_integers,
-    as_point,
     commute_by_support,
     lie_bracket,
     max_degree_cap,
@@ -136,8 +135,8 @@ class BracketWalk:
         self.rounds = bracket_rounds(self.fields, self.span)
 
 
-def _flag_levels(frame: Frame, point: Point, max_depth: int):
-    """Ranks of the bracket flag at a point, one per bracket length.
+def _flag_levels(frame: Frame, max_depth: int):
+    """Ranks of the bracket flag at the frame's base point, one per bracket length.
 
     Round 0 is read off the fields' own values at the point: where they have
     full rank the flag is (n) and no walk is made.  Below full rank a
@@ -146,7 +145,7 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int):
     the brackets that grew the walk's span.  Stops at full rank, returning
     the walk stopped there, or raises at stabilization or at the depth cap.
     """
-    n = frame.dim
+    n, point = frame.dim, frame.base_point
 
     def value(f: VectorField) -> dict:
         return {i: c for i, c in enumerate(f._evaluate(point)) if c != 0}
@@ -173,8 +172,8 @@ def _flag_levels(frame: Frame, point: Point, max_depth: int):
     )
 
 
-def coordinate_orders(frame: Frame, point: Sequence | None = None, *, max_length: int) -> list[int | None]:
-    """Nonholonomic order of each coordinate function at a point.
+def coordinate_orders(frame: Frame, *, max_length: int) -> list[int | None]:
+    """Nonholonomic order of each coordinate function at the frame's base point p.
 
     The order of x_j - p_j is the length of the shortest word X_I of frame
     derivatives with (X_I x_j)(p) != 0.  X_I applied to the coordinate
@@ -192,7 +191,6 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, *, max_length
     The last level is never pruned, so at a point where the frame has full
     rank (every order 1) no span is formed.
     """
-    pt = as_point(point, frame.dim) if point is not None else frame.base_point
     n = frame.dim
     orders: list[int | None] = [None] * n
     directions = [(X, X.support[0]) for X in frame.fields]
@@ -200,7 +198,7 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, *, max_length
     for length in range(1, max_length + 1):
         # component j of level[i] is polynomial i * n + j of one evaluation pass
         terms = [((i * n + j, e), c) for i, g in enumerate(level) for (j, e), c in g.terms.items()]
-        values = _values(pt, terms, len(level) * n)
+        values = _values(frame.base_point, terms, len(level) * n)
         for (slot, _), _ in terms:
             if orders[slot % n] is None and values[slot]:
                 orders[slot % n] = length
@@ -218,18 +216,15 @@ def coordinate_orders(frame: Frame, point: Sequence | None = None, *, max_length
     return orders
 
 
-def growth_vector(
-    frame: Frame,
-    point: Sequence | None = None,
-    max_depth: int | None = None,
-) -> tuple[GrowthVector, Weights]:
-    """Flag dimensions and candidate coordinate weights at a point.
+def growth_vector(frame: Frame, *, max_depth: int | None = None) -> tuple[GrowthVector, Weights]:
+    """Flag dimensions and candidate coordinate weights at the frame's base point.
 
     Weights are assigned per flag level (dims[s] - dims[s-1] coordinates of
     weight s) and matched to coordinates by the orders of the coordinate
-    functions; whether the match is exact is the business of
-    :func:`check_privileged`.  The growth vector carries the flag's walk,
-    which :func:`ars.liealg.lie_closure` of the frame's own fields finishes.
+    functions; :func:`ars.pipeline.stages` decides whether they match
+    exactly.  The growth vector carries the flag's walk, which
+    :func:`ars.liealg.lie_closure` of the frame's own fields finishes.  The
+    depth cap defaults to 2n times the fields' top total degree (at least 1).
 
     Raises RankConditionFailure when the flag cannot reach full rank,
     DegreeBoundExceeded when a bracket exceeds the degree cap ARS_MAX_DEGREE,
@@ -237,10 +232,9 @@ def growth_vector(
     """
     if max_depth is not None and max_depth < 1:
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
-    pt = as_point(point, frame.dim) if point is not None else frame.base_point
-    depth = max_depth if max_depth is not None else 2 * frame.dim * max(1, frame.max_component_degree())
-    dims, step, walk = _flag_levels(frame, pt, depth)
-    orders = coordinate_orders(frame, pt, max_length=step)
+    depth = max_depth or 2 * frame.dim * max(1, max(f.total_degree() for f in frame.fields))
+    dims, step, walk = _flag_levels(frame, depth)
+    orders = coordinate_orders(frame, max_length=step)
     growth = GrowthVector(tuple(dims), step, tuple(orders), walk)
     # multiset of weights dictated by the flag, ascending
     level_weights: list[int] = []
@@ -253,11 +247,3 @@ def growth_vector(
     for pos, j in enumerate(by_order):
         weights[j] = level_weights[pos]
     return growth, tuple(weights)
-
-
-def check_privileged(frame: Frame, point: Sequence | None, weights: Sequence[int]) -> bool:
-    """True iff every coordinate function has order exactly w_j at the point."""
-    w = check_weights(weights, frame.dim)
-    pt = as_point(point, frame.dim) if point is not None else frame.base_point
-    orders = coordinate_orders(frame, pt, max_length=max(w))
-    return all(o == wj for o, wj in zip(orders, w))

@@ -211,6 +211,8 @@ def _parse_expression(tokens, var_names: list[str], lineno: int) -> VectorField:
 
     if coef is not None or has_factor:
         raise ParseError("dangling term without a derivative", lineno, 1)
+    if tokens[-1][0] in ("+", "-"):
+        raise ParseError("dangling sign without a term", lineno, tokens[-1][1])
     return VectorField.from_terms(n, {key: c for key, c in terms.items() if c})
 
 

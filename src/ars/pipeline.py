@@ -26,7 +26,7 @@ from .grading import (
 )
 from .liealg import Classification, GradedFrameUnavailable, classify_fields, graded_frame, ideal_closure, lie_closure
 from .parser import FrameDocument
-from .symcore import ArsError, Frame, VectorField
+from .symcore import ArsError, Frame, VectorField, as_integers
 
 REPORT_SCHEMA = "ars-report/1"
 
@@ -47,7 +47,7 @@ class AnalyzeOptions:
 
     def describe(self) -> dict:
         return {
-            "weights": "auto" if self.weights == "auto" else list(self.weights),
+            "weights": "auto" if self.weights == "auto" else list(as_integers(self.weights, "weights")),
             "point": [str(Fraction(c)) for c in self.point] if self.point is not None else None,
             "max_bracket_depth": self.max_bracket_depth,
             "probe_flows": self.probe_flows,
@@ -206,7 +206,7 @@ def stages(doc: FrameDocument, options: AnalyzeOptions | None = None) -> Iterato
         # the report keeps the flag's dims, not its walk, which lie_closure may finish
         report.growth = replace(growth, walk=None)
 
-        declared = options.weights if options.weights not in ("auto", None) else doc.weights
+        declared = options.weights if options.weights != "auto" else doc.weights
         weights = auto_weights if declared is None else check_weights(declared, frame.dim)
         report.weights, report.weights_source = weights, "auto" if declared is None else "declared"
 

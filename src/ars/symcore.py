@@ -64,11 +64,11 @@ def quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
 
 
 def as_integers(values: Sequence, what: str) -> tuple[int, ...]:
-    """The values as ints through operator.index, which refuses 1.5 and "2" where int() takes them."""
+    """The values as ints through operator.index, which refuses 1.5 and "2" where int() takes them; else ValueError."""
     try:
         return tuple(map(operator.index, values))
     except TypeError:
-        raise ValueError(f"{what} must be integers, got {tuple(values)}") from None
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 def as_point(values: Sequence, dim: int) -> Point:
@@ -452,9 +452,6 @@ class Frame:
             return self
         fields = [f.shifted(self.base_point) for f in self.fields]
         return Frame(self.var_names, fields, [0] * self.dim)
-
-    def max_component_degree(self) -> int:
-        return max(f.total_degree() for f in self.fields)
 
     def __repr__(self) -> str:
         return f"Frame(vars={self.var_names}, fields={[f.format(self.var_names) for f in self.fields]})"

@@ -159,6 +159,56 @@ ENTRIES: list[tuple[str, str, str, str, list[str]]] = [
         "sorted(set(table[next(iter(w))]).difference(skip))",
         ["tests/test_liealg.py::test_ideal_is_ad_invariant"],
     ),
+    # one analysis point, the frame's base point, and one privileged verdict
+    (
+        "privileged-cut-at-the-step",
+        "src/ars/pipeline.py",
+        "        bound = max(weights)\n",
+        "        bound = growth.step\n",
+        ["tests/test_pipeline.py::test_report_orders_match_direct_computation"],
+    ),
+    (
+        "orders-at-the-origin",
+        "src/ars/grading.py",
+        "values = _values(frame.base_point, terms, len(level) * n)",
+        "values = _values((0,) * n, terms, len(level) * n)",
+        ["tests/test_grading.py::test_coordinate_orders_match_every_frame_word"],
+    ),
+    (
+        "flag-at-the-origin",
+        "src/ars/grading.py",
+        "    n, point = frame.dim, frame.base_point\n",
+        "    n, point = frame.dim, (0,) * frame.dim\n",
+        ["tests/test_grading.py::test_growth_vector_away_from_locus"],
+    ),
+    (
+        "flag-walks-at-a-regular-point",
+        "src/ars/grading.py",
+        "    if values.dim == n:\n        return dims, 1, None\n",
+        "",
+        ["tests/test_grading.py::test_regular_point_flag_forms_only_the_values_span"],
+    ),
+    (
+        "options-keep-weights-unchecked",
+        "src/ars/pipeline.py",
+        'list(as_integers(self.weights, "weights"))',
+        "list(self.weights)",
+        ["tests/test_pipeline.py::test_weights_neither_auto_nor_a_sequence_are_refused_before_any_stage"],
+    ),
+    (
+        "integers-error-path-iterates",
+        "src/ars/symcore.py",
+        'raise ValueError(f"{what} must be integers, got {values!r}")',
+        'raise ValueError(f"{what} must be integers, got {tuple(values)}")',
+        ["tests/test_grading.py::test_weights_that_are_not_integers_are_refused"],
+    ),
+    (
+        "parser-dangling-sign-accepted",
+        "src/ars/parser.py",
+        '    if tokens[-1][0] in ("+", "-"):\n        raise ParseError("dangling sign without a term", lineno, tokens[-1][1])\n',
+        "",
+        ["tests/test_parser.py::test_term_state_errors"],
+    ),
 ]
 
 

@@ -12,13 +12,13 @@ import ars.grading
 import ars.linalg
 from ars.grading import (
     RankConditionFailure,
-    check_privileged,
     check_weights,
     coordinate_orders,
     growth_vector,
     homogeneous_parts,
 )
 from ars.parser import parse_frame
+from ars.pipeline import AnalyzeOptions, NotPrivileged, analyze
 from ars.symcore import Frame, Polynomial, VectorField
 
 import conftest
@@ -128,7 +128,7 @@ def test_rank_condition_failure():
 
 
 def test_growth_vector_away_from_locus(e1_frame):
-    growth, weights = growth_vector(e1_frame, point=(1, 1, 1))
+    growth, weights = growth_vector(Frame(e1_frame.var_names, e1_frame.fields, (1, 1, 1)))
     assert growth.dims == (3,)
     assert weights == (1, 1, 1)
 
@@ -137,7 +137,7 @@ def test_regular_point_flag_forms_only_the_values_span(monkeypatch):
     # where the fields' values have full rank, the flag inserts those values
     # and nothing else: no walk, so no bracket and no span of the fields'
     # terms, and coordinate_orders at bound 1 prunes no level
-    frame = parse_frame("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^300 d/dy\n").to_frame()
+    frame = parse_frame("vars x y\nfield X1 = d/dx\nfield X2 = 3/7 x^300 d/dy\npoint 9/8 -7/9\n").to_frame()
     brackets, inserts = [], []
     insert = ars.linalg.SpanBasis.insert
 
@@ -147,7 +147,7 @@ def test_regular_point_flag_forms_only_the_values_span(monkeypatch):
 
     monkeypatch.setattr(ars.grading, "lie_bracket", lambda X, Y: brackets.append((X, Y)))
     monkeypatch.setattr(ars.linalg.SpanBasis, "insert", counting)
-    growth, weights = growth_vector(frame, point=(Fraction(9, 8), Fraction(-7, 9)))
+    growth, weights = growth_vector(frame)
     assert (growth.dims, growth.step, growth.orders, growth.walk, weights) == ((2,), 1, (1, 1), None, (1, 1))
     assert brackets == []
     assert len(inserts) == 2 and all(set(vec) <= {0, 1} for vec in inserts)
@@ -156,10 +156,13 @@ def test_regular_point_flag_forms_only_the_values_span(monkeypatch):
 # --- privileged checks --------------------------------------------------------
 
 
-def test_check_privileged_examples(e1_frame, e3_frame):
-    assert check_privileged(e1_frame, None, (1, 2, 5))
-    assert not check_privileged(e1_frame, None, (1, 1, 1))
-    assert check_privileged(e3_frame, None, (1, 1, 2, 1, 2))
+def test_privileged_verdict_examples(e1_doc, e3_doc):
+    # analyze decides privileged from the coordinate orders cut at max(weights)
+    assert analyze(e1_doc, AnalyzeOptions(weights=(1, 2, 5))).privileged
+    with pytest.raises(NotPrivileged) as err:
+        analyze(e1_doc, AnalyzeOptions(weights=(1, 1, 1)))
+    assert err.value.report.privileged is False
+    assert analyze(e3_doc, AnalyzeOptions(weights=(1, 1, 2, 1, 2))).privileged
 
 
 def test_non_privileged_coordinates_detected():
@@ -168,7 +171,9 @@ def test_non_privileged_coordinates_detected():
     assert growth.dims == (1, 2)
     # the flag demands a weight-2 coordinate but both coordinates have order 1
     assert coordinate_orders(frame, max_length=2) == [1, 1]
-    assert not check_privileged(frame, None, weights)
+    with pytest.raises(NotPrivileged) as err:
+        analyze(parse_frame(NOT_PRIVILEGED_TEXT))
+    assert (err.value.report.weights, err.value.report.privileged) == (weights, False)
 
 
 def test_coordinate_orders_e1(e1_frame):
@@ -181,6 +186,14 @@ def test_coordinate_orders_takes_its_bound_from_the_caller(e1_frame):
         coordinate_orders(e1_frame)
     with pytest.raises(TypeError):
         coordinate_orders(e1_frame, None, 5)
+
+
+def test_grading_takes_no_point(e1_frame):
+    # the point is the frame's base point; an old positional point is refused, not read as a depth
+    with pytest.raises(TypeError):
+        growth_vector(e1_frame, (1, 1, 1))
+    with pytest.raises(TypeError):
+        coordinate_orders(e1_frame, (1, 1, 1), max_length=5)
 
 
 # --- properties ----------------------------------------------------------------
@@ -291,9 +304,10 @@ def test_depth_below_one_is_a_value_error(depth):
             growth_vector(parse_frame(text).to_frame(), max_depth=depth)
 
 
-@pytest.mark.parametrize("weights", [(1.5, 2), ("1", "2"), (1, Fraction(2))])
+@pytest.mark.parametrize("weights", [(1.5, 2), ("1", "2"), (1, Fraction(2)), None, 5])
 def test_weights_that_are_not_integers_are_refused(weights):
-    # int() used to truncate 1.5 to 1 and parse "1"
+    # int() used to truncate 1.5 to 1 and parse "1"; None and 5 are not
+    # sequences, so the error path must not iterate them
     with pytest.raises(ValueError, match=re.escape(f"weights must be integers, got {weights}")):
         check_weights(weights, 2)
     assert check_weights((True, 2), 2) == (1, 2)
@@ -326,19 +340,18 @@ def sparse_frame(draw):
                 comps[draw(st.integers(0, dim - 1))][draw(exps)] = draw(coeffs)
             fields.append(VectorField([Polynomial(dim, c) for c in comps]))
     point = draw(st.sampled_from([(0,) * dim, (1,) * dim, tuple(range(dim))]))
-    return Frame([f"x{j}" for j in range(dim)], fields), point
+    return Frame([f"x{j}" for j in range(dim)], fields, point)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(sparse_frame())
-def test_flag_matches_every_bracket_word(drawn):
-    frame, point = drawn
-    naive = naive_flag_dims(list(frame.fields), point, FLAG_DEPTH)
+def test_flag_matches_every_bracket_word(frame):
+    naive = naive_flag_dims(list(frame.fields), frame.base_point, FLAG_DEPTH)
     if frame.dim not in naive:
         with pytest.raises(RankConditionFailure):
-            growth_vector(frame, point=point, max_depth=FLAG_DEPTH)
+            growth_vector(frame, max_depth=FLAG_DEPTH)
         return
-    growth, _ = growth_vector(frame, point=point, max_depth=FLAG_DEPTH)
+    growth, _ = growth_vector(frame, max_depth=FLAG_DEPTH)
     step = naive.index(frame.dim) + 1
     assert growth.dims == tuple(naive[:step])
     assert growth.step == step
@@ -387,13 +400,15 @@ def test_coordinate_orders_match_every_frame_word():
     beyond = not_privileged = 0
     with time_limit(60):
         for frame, point, max_length in cases:
-            orders = coordinate_orders(frame, point, max_length=max_length)
+            frame = Frame(frame.var_names, frame.fields, point)
+            orders = coordinate_orders(frame, max_length=max_length)
             assert orders == naive_coordinate_orders(frame, point, max_length), (frame, point, max_length)
             beyond += None in orders
             try:
-                _, weights = growth_vector(frame, point=point, max_depth=4)
+                _, weights = growth_vector(frame, max_depth=4)
             except RankConditionFailure:
                 continue
-            not_privileged += not check_privileged(frame, point, weights)
+            # privileged: every coordinate order, cut at max(weights), equals its weight
+            not_privileged += coordinate_orders(frame, max_length=max(weights)) != list(weights)
     # the cases reach orders beyond the bound and points where the coordinates are not privileged
     assert beyond >= 20 and not_privileged >= 5

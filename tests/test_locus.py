@@ -404,7 +404,7 @@ def test_regular_point_flag_is_the_fields_values(frame, seed):
     det = frame_determinant(frame)
     point = next((p for p in (random_rational_point(rng, frame.dim) for _ in range(4)) if det.evaluate(p)), None)
     assume(point is not None)
-    growth, weights = growth_vector(frame, point=point)
+    growth, weights = growth_vector(Frame(frame.var_names, frame.fields, point))
     n = frame.dim
     assert (growth.dims, growth.step, growth.orders, growth.walk) == ((n,), 1, (1,) * n, None)
     assert weights == (1,) * n

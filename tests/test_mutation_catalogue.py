@@ -11,7 +11,7 @@ import mutations
 
 def test_catalogue_ids_are_unique():
     ids = [entry[0] for entry in mutations.ENTRIES]
-    assert len(ids) == len(set(ids)) >= 12
+    assert len(ids) == len(set(ids)) >= 20
 
 
 @pytest.mark.parametrize("entry", mutations.ENTRIES, ids=[entry[0] for entry in mutations.ENTRIES])

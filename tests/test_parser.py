@@ -120,6 +120,38 @@ def test_literals_that_int_or_fraction_refuse_are_parse_errors(text, message, po
     assert str(err.value) == f"line {position[0]}, column {position[1]}: {message}"
 
 
+_FIELDS = "field A = d/dx\nfield B = x d/dy\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "message", "position"),
+    [
+        ("vars x y\n" + _FIELDS + "vars x y\n", "duplicate vars line", (4, 1)),
+        ("vars x y\n" + _FIELDS + "weights 1 2\n weights 1 2\n", "duplicate weights line", (5, 2)),
+        ("vars x y\n" + _FIELDS + "point 0 0\npoint 0 0\n", "duplicate point line", (5, 1)),
+        ("vars\n" + _FIELDS, "vars line needs at least one variable", (1, 1)),
+        ("vars x 2y\n" + _FIELDS, "invalid variable name '2y'", (1, 8)),
+        ("vars x y\nfield A = d/dx\nfield B-1 = x d/dy\n", "invalid field name 'B-1'", (3, 7)),
+        (_FIELDS + "vars x y\n", "field line before vars line", (1, 1)),
+        ("vars x y\nfield A = d/dx\nfield B x d/dy\n", "expected 'field NAME = expression'", (3, 1)),
+        ("vars x y\nfield A = d/dx\nfield A = x d/dy\n", "duplicate field 'A'", (3, 7)),
+        ("vars x y\n" + _FIELDS + "point 0 1.5\n", "point entries must be rationals, got '1.5'", (4, 9)),
+        ("vars x y\n" + _FIELDS + "weight 1 2\n", "unknown directive 'weight'", (4, 1)),
+        ("# no variables\nweights 1 2\n", "missing vars line", (1, 1)),
+        ("vars y\nfield X1 = x d/dy\n", "undeclared variable 'x'", (2, 12)),
+    ],
+    ids=["duplicate_vars", "duplicate_weights", "duplicate_point", "vars_without_names",
+         "invalid_variable_name", "invalid_field_name", "field_before_vars", "malformed_field",
+         "duplicate_field", "point_not_rational", "unknown_directive", "missing_vars",
+         "undeclared_variable_in_monomial"],
+)
+def test_directive_errors(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_frame(text)
+    assert (err.value.line, err.value.column) == position
+    assert str(err.value) == f"line {position[0]}, column {position[1]}: {message}"
+
+
 def test_bad_token_reports_position():
     with pytest.raises(ParseError) as err:
         parse_frame("vars x\nfield X1 = ??? d/dx\n")
@@ -148,9 +180,14 @@ def test_dangling_term():
         ("2 3 d/dy", "coefficient must come first in a term", 13),
         ("d/dx + 2", "dangling term without a derivative", 1),
         ("d/dx + x", "dangling term without a derivative", 1),
+        # a sign must be followed by a term
+        ("d/dx +", "dangling sign without a term", 16),
+        ("d/dx -", "dangling sign without a term", 16),
+        ("-", "dangling sign without a term", 11),
     ],
     ids=["sign_after_coefficient", "sign_after_factor", "coefficient_after_factor",
-         "coefficient_after_coefficient", "dangling_coefficient", "dangling_factor"],
+         "coefficient_after_coefficient", "dangling_coefficient", "dangling_factor",
+         "dangling_plus", "dangling_minus", "lone_sign"],
 )
 def test_term_state_errors(expression, message, column):
     with pytest.raises(ParseError) as err:

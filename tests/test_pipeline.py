@@ -18,7 +18,7 @@ from ars.approx import build_approximation
 from ars.grading import DegreeBoundExceeded, RankConditionFailure, coordinate_orders, growth_vector
 from ars.liealg import ideal_closure, is_solvable, lie_closure
 from ars.parser import parse_frame
-from ars.pipeline import AnalyzeOptions, NotPrivileged, analyze
+from ars.pipeline import AnalyzeOptions, NotPrivileged, analyze, stages
 from ars.symcore import frame_rank_at
 
 from conftest import (
@@ -274,6 +274,14 @@ def test_analyze_refuses_weights_that_are_not_integers():
     # int() used to truncate them: (1.5, 2.9) read as (1, 2), privileged
     with pytest.raises(ValueError, match=re.escape("weights must be integers, got (1.5, 2.9)")):
         analyze(parse_frame(GRUSHIN_TEXT), AnalyzeOptions(weights=(1.5, 2.9)))
+
+
+@pytest.mark.parametrize("weights", [None, 5])
+def test_weights_neither_auto_nor_a_sequence_are_refused_before_any_stage(weights):
+    # "auto" is the one spelling of automatic weights; any other value must
+    # be a sequence of integers, checked before the locus stage
+    with pytest.raises(ValueError, match=re.escape(f"weights must be integers, got {weights}")):
+        next(stages(parse_frame(GRUSHIN_TEXT), AnalyzeOptions(weights=weights)))
 
 
 def _count_solvability_brackets(monkeypatch) -> Counter:
