@@ -166,13 +166,14 @@ def test_privileged_verdict_examples(e1_doc, e3_doc):
 
 
 def test_non_privileged_coordinates_detected():
-    frame = parse_frame(NOT_PRIVILEGED_TEXT).to_frame()
+    doc = parse_frame(NOT_PRIVILEGED_TEXT)
+    frame = doc.to_frame()
     growth, weights = growth_vector(frame)
     assert growth.dims == (1, 2)
     # the flag demands a weight-2 coordinate but both coordinates have order 1
     assert coordinate_orders(frame, max_length=2) == [1, 1]
     with pytest.raises(NotPrivileged) as err:
-        analyze(parse_frame(NOT_PRIVILEGED_TEXT))
+        analyze(doc)
     assert (err.value.report.weights, err.value.report.privileged) == (weights, False)
 
 
